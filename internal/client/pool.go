@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -219,8 +220,10 @@ func (p *Pool) Acquire(backend string) (*Client, error) {
 // Success — and any terminal 4xx answer, which proves the backend is
 // alive and judging requests — closes the circuit and resets the failure
 // run. Counted failures (transport errors, 5xx, retryable statuses,
-// exhausted budgets, malformed bodies) extend the run and open the
-// circuit at the threshold.
+// exhausted budgets, malformed bodies, per-call timeouts) extend the run
+// and open the circuit at the threshold. A call its caller cancelled (a
+// hedge loser, an abandoned sweep) is no verdict on the backend: it only
+// frees the half-open probe slot.
 func (p *Pool) Report(backend string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -229,6 +232,9 @@ func (p *Pool) Report(backend string, err error) {
 		return
 	}
 	st.probing = false
+	if errors.Is(err, context.Canceled) {
+		return
+	}
 	if !countsAgainstCircuit(err) {
 		st.consecFails = 0
 		st.openUntil = time.Time{}

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -147,5 +149,47 @@ func TestPoolUnknownBackend(t *testing.T) {
 	p.Report("http://nope", errors.New("x")) // must not panic
 	if got := p.Backends(); len(got) != 1 || got[0] != "http://a" {
 		t.Fatalf("backends = %v", got)
+	}
+}
+
+// TestPoolCancelledCallIsNoVerdict: a call its caller cancelled (a hedge
+// loser) says nothing about the backend. Threshold-many cancelled reports
+// leave the circuit closed, and a cancelled half-open probe frees the
+// probe slot without closing or re-opening the circuit. A per-call
+// timeout still counts.
+func TestPoolCancelledCallIsNoVerdict(t *testing.T) {
+	clk := newFakeClock()
+	p := NewPool([]string{"http://a"}, poolCfg(clk, 2))
+	cancelled := fmt.Errorf("client: %w (last error: reset)", context.Canceled)
+	report := func(err error) {
+		t.Helper()
+		if _, aerr := p.Acquire("http://a"); aerr != nil {
+			t.Fatal(aerr)
+		}
+		p.Report("http://a", err)
+	}
+
+	for i := 0; i < 4; i++ {
+		report(cancelled)
+	}
+	if got := p.State("http://a"); got != CircuitClosed {
+		t.Fatalf("state after 4 cancelled calls = %s, want closed", got)
+	}
+
+	report(errors.New("connection refused"))
+	report(cancelled) // neither extends nor resets the failure run
+	report(fmt.Errorf("client: %w", context.DeadlineExceeded))
+	if got := p.State("http://a"); got != CircuitOpen {
+		t.Fatalf("state after refused+timeout around a cancel = %s, want open", got)
+	}
+
+	clk.advance(6 * time.Second)
+	report(cancelled) // the half-open probe, abandoned by its caller
+	if got := p.State("http://a"); got != CircuitHalfOpen {
+		t.Fatalf("state after a cancelled probe = %s, want still half-open", got)
+	}
+	report(nil) // the slot is free again: the next probe closes the circuit
+	if got := p.State("http://a"); got != CircuitClosed {
+		t.Fatalf("state after a successful probe = %s, want closed", got)
 	}
 }

@@ -121,7 +121,8 @@ func TestCacheCapConcurrentChurn(t *testing.T) {
 // TestCacheCrossCancellation is the regression test for the single-flight
 // poisoning bug: a waiter blocked on a concurrent fill used to inherit the
 // FILLER's ctx.Err() when the filler was cancelled mid-generation. The
-// waiter's context is alive, so it must retry the lookup and succeed.
+// waiter's context is alive, so it keeps the one fill alive: the filler
+// gets its own cancellation, and the waiter gets the trace as a hit.
 func TestCacheCrossCancellation(t *testing.T) {
 	var calls atomic.Int32
 	p := newGatedProgram(&calls)
@@ -135,7 +136,7 @@ func TestCacheCrossCancellation(t *testing.T) {
 		_, _, _, err := c.Get(fillerCtx, p, params, nil)
 		fillerErr <- err
 	}()
-	<-p.entered // the filler is inside Generate; its entry is published
+	<-p.entered // the filler is inside Generate; its fill is in flight
 
 	var waiterInfo CacheInfo
 	waiterErr := make(chan error, 1)
@@ -144,25 +145,27 @@ func TestCacheCrossCancellation(t *testing.T) {
 		waiterInfo = info
 		waiterErr <- err
 	}()
-	// No event marks "waiter parked on the entry"; the sleep just makes that
-	// interleaving overwhelmingly likely. The retry path is correct either
-	// way — if the waiter arrives after the eviction it simply fills fresh.
-	time.Sleep(20 * time.Millisecond)
+	key := KeyFor(p, params)
+	for deadline := time.Now().Add(5 * time.Second); c.fills.Waiters(key) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never joined the fill")
+		}
+	}
 
 	cancelFiller()
-	close(p.release)
-
 	if err := <-fillerErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("filler err = %v, want its own context.Canceled", err)
 	}
+	close(p.release)
+
 	if err := <-waiterErr; err != nil {
 		t.Fatalf("waiter with a live context inherited the filler's cancellation: %v", err)
 	}
-	if waiterInfo.Hit {
-		t.Error("waiter reported a cache hit; it must have regenerated after the aborted fill")
+	if !waiterInfo.Hit {
+		t.Error("waiter reported a miss; it joined the filler's generation")
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("Generate called %d times, want 2 (aborted fill + waiter's retry)", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("Generate called %d times, want 1 (the waiter kept the one fill alive)", got)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"syncsim/internal/chaos"
+	"syncsim/internal/flight"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/trace"
@@ -230,12 +231,12 @@ type taskMetrics struct {
 
 // runTaskSafe is runTask behind a panic barrier: a panic anywhere in task
 // execution — the machine core's invariant panics included — is recovered
-// into a *PanicError that fails this task alone. The worker goroutine, the
-// pool, and every sibling task survive.
+// into a *flight.PanicError that fails this task alone. The worker
+// goroutine, the pool, and every sibling task survive.
 func (e *Engine) runTaskSafe(ctx context.Context, t *Task, tm taskMetrics) (res TaskResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = TaskResult{}, Recovered(t.Program.Name()+"/"+t.Label, v)
+			res, err = TaskResult{}, flight.Recovered(t.Program.Name()+"/"+t.Label, v)
 		}
 	}()
 	return e.runTask(ctx, t, tm)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"syncsim/internal/chaos"
+	"syncsim/internal/flight"
 	"syncsim/internal/trace"
 	"syncsim/internal/workload"
 )
@@ -52,7 +53,7 @@ func TestPanicIsolationGenerate(t *testing.T) {
 	prog := &panicProgram{fakeProgram{name: "boom", ncpu: 2, pairs: 4}}
 	eng := New(Config{Workers: 2})
 	_, _, err := eng.Run(context.Background(), simTasks(prog, "a", "b"))
-	var pe *PanicError
+	var pe *flight.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}
@@ -86,7 +87,7 @@ func TestChaosWorkerPanic(t *testing.T) {
 	eng := New(Config{Workers: 2, Chaos: plane})
 	prog := &fakeProgram{name: "chaotic", ncpu: 2, pairs: 4}
 	_, _, err := eng.Run(context.Background(), simTasks(prog, "a"))
-	var pe *PanicError
+	var pe *flight.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}
@@ -119,7 +120,7 @@ func TestPanicErrorMemoised(t *testing.T) {
 	eng := New(Config{Workers: 1, Cache: cache})
 	for i := 0; i < 2; i++ {
 		_, _, err := eng.Run(context.Background(), simTasks(prog, "a"))
-		var pe *PanicError
+		var pe *flight.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v (%T), want *PanicError", i, err, err)
 		}

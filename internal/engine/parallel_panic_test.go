@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"syncsim/internal/flight"
 	"syncsim/internal/machine"
 	"syncsim/internal/trace"
 	"syncsim/internal/workload"
@@ -95,7 +96,7 @@ func TestParallelSchedPanicIsolation(t *testing.T) {
 	task := Task{Program: prog, Params: workload.Params{Scale: 1, Seed: 1},
 		Label: "par", Config: parallelCfg(4), Metrics: true}
 	_, _, err := eng.Run(context.Background(), []Task{task})
-	var pe *PanicError
+	var pe *flight.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"syncsim/internal/api"
 	"syncsim/internal/chaos"
+	"syncsim/internal/client"
 	"syncsim/internal/server"
 )
 
@@ -348,6 +350,17 @@ func TestFleetHedgeRescuesSlowBackend(t *testing.T) {
 	}
 	if perBackend != status.Hedged {
 		t.Errorf("per-backend hedged sum %d != fleet hedged %d", perBackend, status.Hedged)
+	}
+
+	// The slow backend was never wrong, only outraced: once its cancelled
+	// attempts have reported back, its circuit must still be closed.
+	if !coord.members.drain(context.Background(), slow.url, 30*time.Second) {
+		t.Fatal("the slow backend's cancelled attempts never finished")
+	}
+	for _, b := range coord.Status().Backends {
+		if b.URL == slow.url && b.Circuit != string(client.CircuitClosed) {
+			t.Errorf("slow backend circuit = %q after losing its hedges, want closed", b.Circuit)
+		}
 	}
 }
 

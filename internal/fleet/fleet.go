@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -14,6 +13,7 @@ import (
 	"syncsim/internal/api"
 	"syncsim/internal/client"
 	"syncsim/internal/fleet/store"
+	"syncsim/internal/flight"
 	"syncsim/internal/server"
 )
 
@@ -132,9 +132,9 @@ type Coordinator struct {
 	members *membership
 	pool    *client.Pool
 	health  *healthTracker
-	cache   *sweepLRU
+	cache   *flight.LRU[string, *api.SweepPayload] // nil when ResultCacheSize < 0
 	store   store.Store
-	flights *cellFlights
+	flights *flight.Group[string, *api.SimPayload]
 	quota   *server.QuotaSet
 
 	statsMu sync.Mutex
@@ -149,10 +149,8 @@ type Coordinator struct {
 	hedgeWins counter
 	throttled counter
 
-	// baseCtx outlives any single request: coalesced cell jobs run under
-	// it so a leader's disconnect does not kill the work its followers
-	// still wait on. Close cancels it.
-	baseCtx    context.Context
+	// baseCancel ends the coordinator's lifetime context, which coalesced
+	// cell jobs run under instead of their leader's request.
 	baseCancel context.CancelFunc
 
 	logf func(format string, args ...any)
@@ -172,14 +170,15 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		members:    newMembership(ring),
 		pool:       client.NewPool(ring.Members(), cfg.Pool),
-		cache:      newSweepLRU(cfg.ResultCacheSize),
 		store:      cfg.Store,
-		flights:    newCellFlights(),
+		flights:    flight.NewGroup[string, *api.SimPayload](baseCtx),
 		quota:      server.NewQuotaSet(cfg.Quotas, cfg.QuotaNow),
 		stats:      make(map[string]*backendStats, len(ring.Members())),
-		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		logf:       cfg.Logf,
+	}
+	if cfg.ResultCacheSize > 0 {
+		c.cache = flight.NewLRU[string, *api.SweepPayload](cfg.ResultCacheSize)
 	}
 	for _, b := range ring.Members() {
 		c.stats[b] = &backendStats{}
@@ -228,14 +227,6 @@ func (c *Coordinator) statsFor(b string) *backendStats {
 	return st
 }
 
-func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
 // writeCellError relays a cell failure: a terminal server answer keeps
 // its status and message (the fleet is a transparent proxy for request
 // bugs); everything else — no backend reachable, budgets exhausted — is
@@ -247,13 +238,6 @@ func (c *Coordinator) writeCellError(w http.ResponseWriter, err error) {
 		return
 	}
 	http.Error(w, err.Error(), http.StatusBadGateway)
-}
-
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
 }
 
 // jobContext derives the context cells run under: the caller's, with its
@@ -291,8 +275,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SweepRequest
-	if err := c.decodeBody(w, r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	plan, err := server.PlanSweep(req)
@@ -302,13 +285,14 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	c.sweeps.inc()
 
-	if p, ok := c.cache.get(plan.Key); ok {
+	if p, ok := c.cache.Get(plan.Key); ok {
 		c.cacheHits.inc()
-		c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p.(*api.SweepPayload), Served: "cache"})
+		server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "cache"})
 		return
 	}
-	if p := c.sweepFromStore(plan.Key); p != nil {
-		c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "store"})
+	if p := store.GetJSON[api.SweepPayload](c.store, plan.Key, c.logf); p != nil {
+		c.storeHits.inc()
+		server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "store"})
 		return
 	}
 
@@ -317,9 +301,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.writeCellError(w, err)
 		return
 	}
-	c.cache.put(plan.Key, payload)
-	c.storePut(plan.Key, payload)
-	c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: "run"})
+	c.cache.Put(plan.Key, payload)
+	store.PutJSON(c.store, plan.Key, payload)
+	server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: "run"})
 }
 
 // runSweep fans the plan's cells across the ring and merges the results.
@@ -368,10 +352,11 @@ func (c *Coordinator) runSweep(ctx context.Context, plan server.SweepPlan) (*api
 // failover order (see routeCell).
 func (c *Coordinator) runCell(ctx context.Context, plan server.SimPlan) (*api.SimPayload, error) {
 	c.cells.inc()
-	if p := c.cellFromStore(plan.Key); p != nil {
+	if p := store.GetJSON[api.SimPayload](c.store, plan.Key, c.logf); p != nil {
+		c.storeHits.inc()
 		return p, nil
 	}
-	payload, shared, err := c.flights.do(ctx, c.baseCtx, plan.Key, func(jobCtx context.Context) (*api.SimPayload, error) {
+	payload, shared, err := c.flights.Do(ctx, plan.Key, func(jobCtx context.Context) (*api.SimPayload, error) {
 		return c.routeCell(jobCtx, plan)
 	})
 	if shared {
@@ -432,8 +417,7 @@ func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SimRequest
-	if err := c.decodeBody(w, r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	plan, err := server.PlanSim(req)
@@ -446,44 +430,7 @@ func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 		c.writeCellError(w, err)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, api.SimResponse{SimPayload: payload, Served: "run"})
-}
-
-// sweepFromStore / cellFromStore / storePut mirror the server's L2 seam.
-func (c *Coordinator) sweepFromStore(key string) *api.SweepPayload {
-	return storeGet[api.SweepPayload](c, key)
-}
-
-func (c *Coordinator) cellFromStore(key string) *api.SimPayload {
-	return storeGet[api.SimPayload](c, key)
-}
-
-func storeGet[P any](c *Coordinator, key string) *P {
-	if c.store == nil {
-		return nil
-	}
-	blob, ok := c.store.Get(key)
-	if !ok {
-		return nil
-	}
-	p := new(P)
-	if err := json.Unmarshal(blob, p); err != nil {
-		c.logf("fleet: L2 store entry for %q is damaged: %v", key, err)
-		return nil
-	}
-	c.storeHits.inc()
-	return p
-}
-
-func (c *Coordinator) storePut(key string, payload any) {
-	if c.store == nil {
-		return
-	}
-	blob, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	c.store.Put(key, blob)
+	server.WriteJSON(w, http.StatusOK, api.SimResponse{SimPayload: payload, Served: "run"})
 }
 
 // handleCapabilities proxies GET /v1/capabilities from the first backend
@@ -507,7 +454,7 @@ func (c *Coordinator) handleCapabilities(w http.ResponseWriter, r *http.Request)
 		cancel()
 		c.pool.Report(b, err)
 		if err == nil {
-			c.writeJSON(w, http.StatusOK, caps)
+			server.WriteJSON(w, http.StatusOK, caps)
 			return
 		}
 		last = err
@@ -556,7 +503,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // handleHealthz: the fleet is healthy while at least one backend is.

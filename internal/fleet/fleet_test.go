@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,4 +481,130 @@ func TestMergeSweepEdgePaths(t *testing.T) {
 			t.Error("merge accepted a result named for another benchmark")
 		}
 	})
+}
+
+// TestFleetCoalescesCells: two concurrent identical /v1/sim requests
+// through the coordinator share one cell flight, so the backend runs the
+// cell once, carrying the leader's tenant, and the second request counts
+// as coalesced.
+func TestFleetCoalescesCells(t *testing.T) {
+	g := newGate()
+	var posts atomic.Int32
+	tenants := make(chan string, 2) // room for both requests' POSTs if coalescing fails
+	b := startBackend(t, server.Config{Workers: 2}, func(h http.Handler) http.Handler {
+		gated := g.middleware(h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				posts.Add(1)
+				tenants <- r.Header.Get(api.HeaderTenant)
+			}
+			gated.ServeHTTP(w, r)
+		})
+	})
+	defer g.open()
+	coord, err := New(Config{
+		Backends:       []string{b.url},
+		Pool:           fastPool(),
+		HealthInterval: time.Hour,
+		HedgeAfter:     -1, // one attempt per cell: every backend POST is a cell run
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	body := `{"bench":"Qsort","scale":0.01,"seed":21}`
+	plan, err := server.PlanSim(api.SimRequest{Bench: "Qsort", Scale: 0.01, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 2)
+	post := func(tenant string) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sim", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		req.Header.Set(api.HeaderTenant, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go post("alice")
+	<-g.hit // the leader's cell is pinned on the backend
+	go post("bob")
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.flights.Waiters(plan.Key) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never joined the cell flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.open()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("request status = %d, want 200", code)
+		}
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("backend received %d cell runs, want 1", n)
+	}
+	if got := <-tenants; got != "alice" {
+		t.Errorf("backend saw tenant %q, want the leader's alice", got)
+	}
+	if st := coord.Status(); st.Coalesced != 1 {
+		t.Errorf("coalesced = %d, want 1", st.Coalesced)
+	}
+}
+
+// TestFrontDoorsDecodeAlike: syncsimd and the coordinator decode request
+// bodies with one decoder, so a malformed body gets the same status from
+// either front door.
+func TestFrontDoorsDecodeAlike(t *testing.T) {
+	const maxBody = 256
+	b := startBackend(t, server.Config{Workers: 2, MaxBodyBytes: maxBody}, nil)
+	coord, err := New(Config{
+		Backends:       []string{b.url},
+		Pool:           fastPool(),
+		HealthInterval: time.Hour,
+		MaxBodyBytes:   maxBody,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unknown field", "/v1/sim", `{"bench":"Qsort","bogus":1}`, http.StatusBadRequest},
+		{"trailing data", "/v1/sim", `{"bench":"Qsort","scale":0.01}{"again":true}`, http.StatusBadRequest},
+		{"trailing data", "/v1/sweep", `{"scale":0.01,"only":["Qsort"]} []`, http.StatusBadRequest},
+		{"body too large", "/v1/sim", `{"bench":"Qsort","lock":"` + strings.Repeat("x", maxBody) + `"}`, http.StatusRequestEntityTooLarge},
+		{"body too large", "/v1/sweep", `{"only":["` + strings.Repeat("x", maxBody) + `"]}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, door := range []struct{ name, url string }{{"syncsimd", b.url}, {"coordinator", ts.URL}} {
+		for _, tc := range cases {
+			resp, err := http.Post(door.url+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s %s %s: status = %d, want %d", door.name, tc.path, tc.name, resp.StatusCode, tc.want)
+			}
+		}
+	}
 }

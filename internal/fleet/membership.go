@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"syncsim/internal/api"
+	"syncsim/internal/server"
 )
 
 // ringState is one immutable epoch of the fleet's membership: the ring
@@ -175,8 +176,7 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request, o
 	}
 	// Join and leave share one body shape; decode into the join form.
 	var req api.FleetJoinRequest
-	if err := c.decodeBody(w, r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	resp, err := op(req.Backend)
@@ -188,6 +188,6 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request, o
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		c.writeJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 	}
 }

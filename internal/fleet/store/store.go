@@ -1,6 +1,6 @@
 // Package store is the fleet's shared L2 result cache: a content-addressed
 // blob store keyed by the server's canonical job keys. The in-memory
-// resultLRU inside each syncsimd stays L1; a store shared between the
+// result LRU inside each syncsimd stays L1; a store shared between the
 // coordinator and its backends (the on-disk Disk implementation over a
 // common directory) lets any fleet member serve a result any other member
 // computed, across process restarts.
@@ -13,6 +13,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 )
@@ -30,6 +31,36 @@ type Store interface {
 	// failed write is silently dropped (the caller already has the
 	// result).
 	Put(key string, blob []byte)
+}
+
+// GetJSON decodes the payload stored under key into a fresh *P. A nil
+// store, a miss and a damaged blob all answer nil, and the caller computes
+// the payload instead; damage is reported through logf.
+func GetJSON[P any](s Store, key string, logf func(format string, args ...any)) *P {
+	if s == nil {
+		return nil
+	}
+	blob, ok := s.Get(key)
+	if !ok {
+		return nil
+	}
+	p := new(P)
+	if err := json.Unmarshal(blob, p); err != nil {
+		logf("store: entry for %q is damaged: %v", key, err)
+		return nil
+	}
+	return p
+}
+
+// PutJSON stores payload's JSON encoding under key, best-effort like
+// Store.Put. A nil store drops it.
+func PutJSON(s Store, key string, payload any) {
+	if s == nil {
+		return
+	}
+	if blob, err := json.Marshal(payload); err == nil {
+		s.Put(key, blob)
+	}
 }
 
 // Disk is a Store over one directory. Each entry is a file named

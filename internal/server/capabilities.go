@@ -57,5 +57,5 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 			Modes:       []string{api.PredictAnalytic, api.PredictSimulate, api.PredictAuto},
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

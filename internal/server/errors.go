@@ -9,7 +9,7 @@ import (
 	"net/http"
 
 	"syncsim/internal/api"
-	"syncsim/internal/engine"
+	"syncsim/internal/flight"
 	"syncsim/internal/machine"
 	"syncsim/internal/workload/suite"
 )
@@ -53,7 +53,7 @@ type httpError struct {
 //	cancellation (drain, storm)  → 503 + Retry-After
 //	anything else                → 500
 func classify(err error) httpError {
-	var pe *engine.PanicError
+	var pe *flight.PanicError
 	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &pe):
@@ -99,7 +99,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	he := classify(err)
 	if he.incident != "" {
 		s.panicked.Inc()
-		var pe *engine.PanicError
+		var pe *flight.PanicError
 		errors.As(err, &pe)
 		s.logf("incident %s: panic in job %q: %v\n%s", he.incident, pe.Job, pe.Value, pe.Stack)
 	}

@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"syncsim/internal/api"
 	"syncsim/internal/chaos"
 	"syncsim/internal/engine"
+	"syncsim/internal/flight"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/workload/suite"
@@ -27,8 +29,8 @@ func TestClassifyTaxonomy(t *testing.T) {
 		retryAfter bool
 		incident   bool
 	}{
-		{"panic", engine.Recovered("job", "boom"), http.StatusInternalServerError, false, true},
-		{"wrapped panic", fmt.Errorf("run: %w", engine.Recovered("job", "boom")), http.StatusInternalServerError, false, true},
+		{"panic", flight.Recovered("job", "boom"), http.StatusInternalServerError, false, true},
+		{"wrapped panic", fmt.Errorf("run: %w", flight.Recovered("job", "boom")), http.StatusInternalServerError, false, true},
 		{"busy", errBusy, http.StatusTooManyRequests, true, false},
 		{"body too large", &http.MaxBytesError{Limit: 16}, http.StatusRequestEntityTooLarge, false, false},
 		{"unknown benchmark", fmt.Errorf("suite: %w %q", suite.ErrUnknownBenchmark, "Nope"), http.StatusBadRequest, false, false},
@@ -194,11 +196,11 @@ func TestHandlerRecoverer(t *testing.T) {
 	leakCheck(t)
 	s := New(Config{Workers: 1, Logf: t.Logf})
 	defer s.Close()
-	job, err := normalizeSim(SimRequest{Bench: "Qsort", Scale: 0.01})
+	job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.results.put(job.key, "poison: not a *SimPayload")
+	s.results.Put(job.key, "poison: not a *SimPayload")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -19,28 +19,13 @@ import (
 // Clients reproducing paper magnitudes ask for them explicitly.
 const defaultScale = 0.2
 
-// The wire types live in internal/api (the versioned contract both client
-// and server depend on). These aliases keep one release of compatibility
-// for code that referred to them through this package.
-//
-// Deprecated: use the internal/api types directly.
-type (
-	SimRequest    = api.SimRequest
-	SimPayload    = api.SimPayload
-	SimResponse   = api.SimResponse
-	SweepRequest  = api.SweepRequest
-	SweepOutcome  = api.SweepOutcome
-	SweepPayload  = api.SweepPayload
-	SweepResponse = api.SweepResponse
-)
-
 // simJob is a validated, canonicalised SimRequest ready to execute. Its
 // key is what coalescing and the result cache operate on: two requests
 // with the same key are guaranteed byte-identical traces (the engine.Key
 // contract) simulated under identical machine configs, hence identical
 // results.
 type simJob struct {
-	req    SimRequest // canonicalised copy, echoed in responses
+	req    api.SimRequest // canonicalised copy, echoed in responses
 	prog   workload.Program
 	params workload.Params
 	cfg    machine.Config
@@ -48,7 +33,7 @@ type simJob struct {
 }
 
 // normalizeSim validates a request and resolves it to a runnable job.
-func normalizeSim(req SimRequest) (simJob, error) {
+func normalizeSim(req api.SimRequest) (simJob, error) {
 	if req.Bench == "" {
 		return simJob{}, fmt.Errorf("missing bench (one of %v)", suite.Names())
 	}
@@ -131,7 +116,7 @@ func normalizeSim(req SimRequest) (simJob, error) {
 // TaskForRequest resolves a SimRequest to the exact engine.Task the
 // service would run for it. Differential harnesses use it to replay a
 // served request straight on an engine and demand bit-identical results.
-func TaskForRequest(req SimRequest) (engine.Task, error) {
+func TaskForRequest(req api.SimRequest) (engine.Task, error) {
 	job, err := normalizeSim(req)
 	if err != nil {
 		return engine.Task{}, err
@@ -164,7 +149,7 @@ type analyzeJob struct {
 // cons) with the sim defaults; the perturbation list is canonicalised into
 // the analyzer's application order.
 func normalizeAnalyze(req api.AnalyzeRequest) (analyzeJob, error) {
-	sim, err := normalizeSim(SimRequest{
+	sim, err := normalizeSim(api.SimRequest{
 		Bench: req.Bench, Scale: req.Scale, NCPU: req.NCPU, Seed: req.Seed,
 		Lock: req.Lock, Cons: req.Cons,
 	})
@@ -230,13 +215,13 @@ func AnalyzeJobForRequest(req api.AnalyzeRequest) (replay.Job, error) {
 
 // sweepJob is a validated SweepRequest.
 type sweepJob struct {
-	req    SweepRequest
+	req    api.SweepRequest
 	models []core.Model
 	sel    suite.Selection
 	key    string
 }
 
-func normalizeSweep(req SweepRequest) (sweepJob, error) {
+func normalizeSweep(req api.SweepRequest) (sweepJob, error) {
 	if req.Scale == 0 {
 		req.Scale = defaultScale
 	}

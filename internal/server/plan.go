@@ -20,7 +20,7 @@ type SimPlan struct {
 	// Request is the canonicalised request (defaults applied, spellings
 	// normalised) — the form the service echoes in payloads.
 	Request api.SimRequest
-	// Key is the job's result-cache key: L1 (resultLRU) and the shared
+	// Key is the job's result-cache key: the L1 result LRU and the shared
 	// L2 store both index by it.
 	Key string
 	// Route is the content-addressed trace key (engine.KeyFor). The

@@ -36,7 +36,7 @@ func TestPlanMatchesCoreModels(t *testing.T) {
 		if !ok {
 			t.Fatalf("modelWire missing %q", name)
 		}
-		job, err := normalizeSim(SimRequest{Bench: "Qsort", Lock: w.lock, Cons: w.cons})
+		job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Lock: w.lock, Cons: w.cons})
 		if err != nil {
 			t.Fatalf("model %s: %v", name, err)
 		}
@@ -142,7 +142,7 @@ func TestStoreSharedBetweenServers(t *testing.T) {
 	}
 
 	sweepBody := `{"scale":0.01,"seed":3,"only":["Qsort"]}`
-	postSweep := func(ts *httptest.Server) SweepResponse {
+	postSweep := func(ts *httptest.Server) api.SweepResponse {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(sweepBody))
 		if err != nil {
@@ -153,7 +153,7 @@ func TestStoreSharedBetweenServers(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
 		}
-		var out SweepResponse
+		var out api.SweepResponse
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}

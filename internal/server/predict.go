@@ -79,8 +79,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer done()
 
 	var req api.PredictRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, err := normalizePredict(req)
@@ -111,7 +110,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	if analytic {
 		s.predAnalytic.Inc()
-		writeJSON(w, http.StatusOK, api.PredictResponse{
+		WriteJSON(w, http.StatusOK, api.PredictResponse{
 			Request:    job.req,
 			Source:     "analytic",
 			Prediction: pred,
@@ -126,7 +125,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.PredictResponse{
+	WriteJSON(w, http.StatusOK, api.PredictResponse{
 		Request:    job.req,
 		Source:     "simulate",
 		Prediction: pred,

@@ -42,6 +42,7 @@ import (
 	"syncsim/internal/core"
 	"syncsim/internal/engine"
 	"syncsim/internal/fleet/store"
+	"syncsim/internal/flight"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/predict"
@@ -145,8 +146,8 @@ type Server struct {
 	traceCache *engine.TraceCache
 	eng        *engine.Engine
 	adm        *admission
-	flights    *flightGroup
-	results    *resultLRU
+	flights    *flight.Group[string, any]
+	results    *flight.LRU[string, any] // nil when ResultCacheSize < 0
 	store      store.Store
 
 	reg       *metrics.Registry
@@ -179,8 +180,7 @@ type Server struct {
 	tenantMu sync.Mutex
 	tenants  map[string]*metrics.Counter
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	baseCancel context.CancelFunc // ends the context jobs run under
 	draining   atomic.Bool
 	inflight   atomic.Int64 // job requests currently inside a handler
 
@@ -203,8 +203,9 @@ func New(cfg Config) *Server {
 	s.traceCache = engine.NewTraceCacheCap(cfg.TraceCacheCap)
 	s.eng = engine.New(engine.Config{Workers: cfg.Workers, Cache: s.traceCache, Chaos: cfg.Chaos})
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth)
-	s.flights = newFlightGroup()
-	s.results = newResultLRU(cfg.ResultCacheSize)
+	if cfg.ResultCacheSize > 0 {
+		s.results = flight.NewLRU[string, any](cfg.ResultCacheSize)
+	}
 
 	s.reg = metrics.New()
 	s.accepted = s.reg.Counter("jobs_accepted")
@@ -224,7 +225,9 @@ func New(cfg Config) *Server {
 	s.predAnalytic = s.reg.Counter("predict_analytic")
 	s.predFallback = s.reg.Counter("predict_fallback")
 
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	baseCtx, baseCancel := context.WithCancel(context.Background())
+	s.baseCancel = baseCancel
+	s.flights = flight.NewGroup[string, any](baseCtx)
 	s.execTasks = s.eng.Run
 	s.execSuite = core.RunSuiteCtx
 
@@ -252,7 +255,7 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.writeError(w, r, engine.Recovered(r.Method+" "+r.URL.Path, v))
+				s.writeError(w, r, flight.Recovered(r.Method+" "+r.URL.Path, v))
 			}
 		}()
 		s.mux.ServeHTTP(w, r)
@@ -303,7 +306,7 @@ func (s *Server) gauges() map[string]int64 {
 		"queue_depth":          int64(s.adm.queued()),
 		"jobs_running":         int64(s.adm.running()),
 		"inflight_requests":    s.inflight.Load(),
-		"result_cache_len":     int64(s.results.len()),
+		"result_cache_len":     int64(s.results.Len()),
 		"trace_cache_len":      int64(tc.Len),
 		"trace_cache_cap":      int64(tc.Cap),
 		"trace_cache_hit":      tc.Hits,
@@ -376,19 +379,33 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
 
-// decodeBody decodes a JSON request body with a size cap, rejecting
-// trailing garbage.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// DecodeBody decodes a JSON request body into dst the way every syncsim
+// front door does: at most maxBytes, no unknown fields, nothing after the
+// JSON value. On failure it has already answered with the taxonomy's
+// status (413 for an oversize body, 400 otherwise) and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
+	err := dec.Decode(dst)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data after JSON body")
 	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
+	if err != nil {
+		he := classify(fmt.Errorf("%w: %w", errBadRequest, err))
+		http.Error(w, he.msg, he.status)
+		return false
 	}
-	return nil
+	return true
+}
+
+// WriteJSON answers with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // admitJobRequest performs the checks shared by the job endpoints and, on
@@ -480,9 +497,8 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	var req SimRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
+	var req api.SimRequest
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, err := normalizeSim(req)
@@ -496,36 +512,52 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SimResponse{SimPayload: payload, Served: served})
+	WriteJSON(w, http.StatusOK, api.SimResponse{SimPayload: payload, Served: served})
 }
 
-// simResult serves one validated simulation job through the shared
-// machinery — result cache, single-flight coalescing, then a real run —
-// and reports how it was served (cache/coalesced/run). Both /v1/sim and
-// /v1/predict's simulation fallback go through here.
-func (s *Server) simResult(r *http.Request, job simJob) (*SimPayload, string, error) {
-	if p, ok := s.results.get(job.key); ok {
+// serve answers one validated job through the ladder every job endpoint
+// shares: the L1 result cache, then the L2 store l2 (nil for jobs the
+// fleet does not share), then a single-flight execution whose payload
+// fills both tiers. It reports which rung answered: cache, store,
+// coalesced or run.
+func serve[P any](s *Server, r *http.Request, key string, l2 store.Store, run func(context.Context) (*P, error)) (*P, string, error) {
+	if v, ok := s.results.Get(key); ok {
 		s.cacheHits.Inc()
-		return p.(*SimPayload), "cache", nil
+		return v.(*P), "cache", nil
 	}
-	if p := storeGet[SimPayload](s, job.key); p != nil {
+	if p := store.GetJSON[P](l2, key, s.logf); p != nil {
+		s.storeHits.Inc()
+		s.results.Put(key, p)
 		return p, "store", nil
 	}
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
-		func(jobCtx context.Context) (any, error) { return s.runSim(jobCtx, job) })
+	v, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) (any, error) {
+		p, err := execute(ctx, s, run)
+		if err != nil {
+			return nil, err
+		}
+		s.results.Put(key, p)
+		store.PutJSON(l2, key, p)
+		return p, nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
 	if shared {
 		s.coalesced.Inc()
-		return val.(*SimPayload), "coalesced", nil
+		return v.(*P), "coalesced", nil
 	}
-	return val.(*SimPayload), "run", nil
+	return v.(*P), "run", nil
 }
 
-// runSim executes one validated simulation job on the engine pool, under
-// the chaos plane's job-boundary faults and the liveness watchdog.
-func (s *Server) runSim(ctx context.Context, job simJob) (*SimPayload, error) {
+// execute runs one job in an admission slot under the job timeout, the
+// chaos plane's job-boundary faults and the liveness watchdog, and counts
+// its outcome.
+func execute[P any](ctx context.Context, s *Server, run func(context.Context) (*P, error)) (*P, error) {
+	if s.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+		defer cancel()
+	}
 	if s.chaos.Should(chaos.QueueFull) {
 		return nil, errBusy
 	}
@@ -540,52 +572,32 @@ func (s *Server) runSim(ctx context.Context, job simJob) (*SimPayload, error) {
 	wctx, stopWatch := s.watchJob(ctx)
 	defer stopWatch()
 
-	results, rep, err := s.execTasks(wctx, []engine.Task{job.task()})
+	p, err := run(wctx)
 	if err != nil {
 		s.failed.Inc()
 		return nil, resolveWedged(wctx, err)
 	}
-	s.recordSuite(rep)
 	s.completed.Inc()
-	tr := results[0]
-	p := &SimPayload{Request: job.req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}
-	s.results.put(job.key, p)
-	s.storePut(job.key, p)
 	return p, nil
 }
 
-// storeGet consults the shared L2 store on an L1 miss. A hit is promoted
-// into L1 so the next identical request is answered without the disk.
-// Damaged blobs are treated as misses (the job just runs).
-func storeGet[P any](s *Server, key string) *P {
-	if s.store == nil {
-		return nil
-	}
-	blob, ok := s.store.Get(key)
-	if !ok {
-		return nil
-	}
-	p := new(P)
-	if err := json.Unmarshal(blob, p); err != nil {
-		s.logf("server: L2 store entry for %q is damaged: %v", key, err)
-		return nil
-	}
-	s.storeHits.Inc()
-	s.results.put(key, p)
-	return p
+// simResult serves one validated simulation job; /v1/sim and
+// /v1/predict's simulation fallback share it.
+func (s *Server) simResult(r *http.Request, job simJob) (*api.SimPayload, string, error) {
+	return serve(s, r, job.key, s.store, func(ctx context.Context) (*api.SimPayload, error) {
+		return s.runSim(ctx, job)
+	})
 }
 
-// storePut writes a completed payload back to the shared L2 store,
-// best-effort.
-func (s *Server) storePut(key string, payload any) {
-	if s.store == nil {
-		return
-	}
-	blob, err := json.Marshal(payload)
+// runSim executes one validated simulation job on the engine pool.
+func (s *Server) runSim(ctx context.Context, job simJob) (*api.SimPayload, error) {
+	results, rep, err := s.execTasks(ctx, []engine.Task{job.task()})
 	if err != nil {
-		return
+		return nil, err
 	}
-	s.store.Put(key, blob)
+	s.recordSuite(rep)
+	tr := results[0]
+	return &api.SimPayload{Request: job.req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -596,8 +608,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer done()
 
 	var req api.AnalyzeRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, err := normalizeAnalyze(req)
@@ -606,58 +617,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if p, ok := s.results.get(job.key); ok {
-		s.cacheHits.Inc()
-		writeJSON(w, http.StatusOK, api.AnalyzeResponse{AnalyzePayload: p.(*api.AnalyzePayload), Served: "cache"})
-		return
-	}
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
-		func(jobCtx context.Context) (any, error) { return s.runAnalyze(jobCtx, job) })
+	// A what-if job is a baseline run, a determinism re-run, and one
+	// replay per perturbation, all against clones of one cached trace.
+	// The whole bundle occupies a single worker slot — it is one job from
+	// admission's point of view, like a sweep.
+	payload, served, err := serve(s, r, job.key, nil, func(ctx context.Context) (*api.AnalyzePayload, error) {
+		return replay.Analyze(ctx, replay.Job{
+			Prog:    job.prog,
+			Params:  job.params,
+			Config:  job.cfg,
+			Request: job.req,
+			Cache:   s.traceCache,
+		})
+	})
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	served := "run"
-	if shared {
-		served = "coalesced"
-		s.coalesced.Inc()
-	}
-	writeJSON(w, http.StatusOK, api.AnalyzeResponse{AnalyzePayload: val.(*api.AnalyzePayload), Served: served})
-}
-
-// runAnalyze executes one validated what-if job: a baseline run, a
-// determinism re-run, and one replay per perturbation, all against clones
-// of one cached trace. The whole bundle occupies a single worker slot —
-// it is one job from admission's point of view, like a sweep.
-func (s *Server) runAnalyze(ctx context.Context, job analyzeJob) (*api.AnalyzePayload, error) {
-	if s.chaos.Should(chaos.QueueFull) {
-		return nil, errBusy
-	}
-	if err := s.adm.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-	s.accepted.Inc()
-	s.chaos.Sleep(ctx)
-	ctx, stopStorm := s.chaos.WrapCancel(ctx)
-	defer stopStorm()
-	wctx, stopWatch := s.watchJob(ctx)
-	defer stopWatch()
-
-	payload, err := replay.Analyze(wctx, replay.Job{
-		Prog:    job.prog,
-		Params:  job.params,
-		Config:  job.cfg,
-		Request: job.req,
-		Cache:   s.traceCache,
-	})
-	if err != nil {
-		s.failed.Inc()
-		return nil, resolveWedged(wctx, err)
-	}
-	s.completed.Inc()
-	s.results.put(job.key, payload)
-	return payload, nil
+	WriteJSON(w, http.StatusOK, api.AnalyzeResponse{AnalyzePayload: payload, Served: served})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -667,9 +644,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	var req SweepRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
+	var req api.SweepRequest
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, err := normalizeSweep(req)
@@ -678,50 +654,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if p, ok := s.results.get(job.key); ok {
-		s.cacheHits.Inc()
-		writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: p.(*SweepPayload), Served: "cache"})
-		return
-	}
-	if p := storeGet[SweepPayload](s, job.key); p != nil {
-		writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: p, Served: "store"})
-		return
-	}
-
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
-		func(jobCtx context.Context) (any, error) { return s.runSweep(jobCtx, job) })
+	payload, served, err := serve(s, r, job.key, s.store, func(ctx context.Context) (*api.SweepPayload, error) {
+		return s.runSweep(ctx, job)
+	})
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	served := "run"
-	if shared {
-		served = "coalesced"
-		s.coalesced.Inc()
-	}
-	writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: val.(*SweepPayload), Served: served})
+	WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: served})
 }
 
 // runSweep executes one validated sweep job: the full benchmark × model
 // matrix through core, sharing the server's bounded trace cache so sweeps
 // and single simulations memoise the same traces.
-func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, error) {
-	if s.chaos.Should(chaos.QueueFull) {
-		return nil, errBusy
-	}
-	if err := s.adm.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-	s.accepted.Inc()
-	s.chaos.Sleep(ctx)
-	ctx, stopStorm := s.chaos.WrapCancel(ctx)
-	defer stopStorm()
-	wctx, stopWatch := s.watchJob(ctx)
-	defer stopWatch()
-
+func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload, error) {
 	var suiteRep metrics.SuiteReport
-	outs, err := s.execSuite(wctx, core.Options{
+	outs, err := s.execSuite(ctx, core.Options{
 		Scale:   job.req.Scale,
 		Seed:    job.req.Seed,
 		Models:  job.models,
@@ -735,15 +683,13 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, err
 		Chaos: s.chaos,
 	})
 	if err != nil {
-		s.failed.Inc()
-		return nil, resolveWedged(wctx, err)
+		return nil, err
 	}
 	s.recordSuite(suiteRep)
-	s.completed.Inc()
 
-	p := &SweepPayload{Request: job.req, Report: suiteRep}
+	p := &api.SweepPayload{Request: job.req, Report: suiteRep}
 	for _, o := range outs {
-		out := SweepOutcome{
+		out := api.SweepOutcome{
 			Name:    o.Name,
 			Params:  o.Params,
 			Ideal:   o.Ideal,
@@ -755,8 +701,6 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, err
 		}
 		p.Outcomes = append(p.Outcomes, out)
 	}
-	s.results.put(job.key, p)
-	s.storePut(job.key, p)
 	return p, nil
 }
 
@@ -771,12 +715,4 @@ func (s *Server) recordSuite(rep metrics.SuiteReport) {
 	if rep.Simulate > 0 {
 		s.simTime.Observe(rep.Simulate)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"syncsim/internal/api"
 	"syncsim/internal/engine"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
@@ -24,9 +24,9 @@ import (
 // postSim POSTs a /v1/sim body and decodes the response. It reports
 // failures with t.Errorf (never Fatalf) so it is safe to call from helper
 // goroutines; callers must check resp for nil.
-func postSim(t *testing.T, ts *httptest.Server, body string) (SimResponse, *http.Response) {
+func postSim(t *testing.T, ts *httptest.Server, body string) (api.SimResponse, *http.Response) {
 	t.Helper()
-	var out SimResponse
+	var out api.SimResponse
 	resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Errorf("POST /v1/sim: %v", err)
@@ -71,7 +71,7 @@ func TestEndToEndSim(t *testing.T) {
 	}
 
 	// Same configuration, straight through the engine.
-	job, err := normalizeSim(SimRequest{Bench: "Qsort", Scale: 0.01, Seed: 3, Lock: "tts", Cons: "wo"})
+	job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Scale: 0.01, Seed: 3, Lock: "tts", Cons: "wo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEndToEndSweep(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
 	}
-	var out SweepResponse
+	var out api.SweepResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	first := make(chan SimResponse, 1)
+	first := make(chan api.SimResponse, 1)
 	go func() {
 		out, _ := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":1}`)
 		first <- out
@@ -319,7 +319,7 @@ func TestGracefulDrain(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	inFlight := make(chan SimResponse, 1)
+	inFlight := make(chan api.SimResponse, 1)
 	status := make(chan int, 1)
 	go func() {
 		out, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01}`)
@@ -393,7 +393,7 @@ func TestLeaderDisconnectKeepsFollowers(t *testing.T) {
 	}()
 	waitFor(t, "leader to start the job", func() bool { return runs.Load() == 1 })
 
-	follower := make(chan SimResponse, 1)
+	follower := make(chan api.SimResponse, 1)
 	go func() {
 		out, _ := postSim(t, ts, `{"bench":"Qsort","scale":0.01}`)
 		follower <- out
@@ -477,22 +477,5 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Errorf("metrics missing %q in:\n%s", want, raw)
 		}
-	}
-}
-
-// TestResultLRUBound checks the result cache honours its capacity.
-func TestResultLRUBound(t *testing.T) {
-	c := newResultLRU(3)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
-		if c.len() > 3 {
-			t.Fatalf("len = %d > cap 3 after %d inserts", c.len(), i+1)
-		}
-	}
-	if _, ok := c.get("k9"); !ok {
-		t.Error("most recent entry evicted")
-	}
-	if _, ok := c.get("k0"); ok {
-		t.Error("oldest entry not evicted")
 	}
 }
