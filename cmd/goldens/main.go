@@ -8,6 +8,10 @@
 //	goldens -update      # regenerate the corpus (reviewed drift approval)
 //	goldens -only Grav   # restrict to a benchmark subset
 //
+// Besides one file per benchmark at -scale/-seed, the corpus holds the
+// fixed wide cells of check.WideCells (Grav and Topopt past 64 CPUs, at
+// their own scales); -only selects those by benchmark too.
+//
 // CI runs the verify mode, so any change to simulated results must land
 // together with a regenerated corpus — unapproved drift fails the build.
 package main
@@ -25,6 +29,7 @@ import (
 
 	"syncsim/internal/check"
 	"syncsim/internal/core"
+	"syncsim/internal/workload/suite"
 )
 
 // errDrift marks a verify-mode mismatch; main maps it to exit code 1 after
@@ -62,15 +67,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	sel, err := suite.NewSelection(opts.Only...)
+	if err != nil {
+		return err
+	}
+	var wide []check.WideCell
+	for _, c := range check.WideCells {
+		if sel.Contains(c.Benchmark) {
+			wide = append(wide, c)
+		}
+	}
+	wideOuts, err := check.RunWide(ctx, wide, *workers)
+	if err != nil {
+		return err
+	}
+
+	// One corpus entry per file: the suite's benchmarks, then the wide
+	// cells.
+	type entry struct {
+		label, file string
+		golden      *check.Golden
+	}
+	var entries []entry
+	for _, o := range outs {
+		entries = append(entries, entry{o.Name, check.GoldenFile(o.Name), check.Compute(o)})
+	}
+	for i, c := range wide {
+		entries = append(entries, entry{fmt.Sprintf("%s/ncpu%d", c.Benchmark, c.NCPU), c.File(), check.Compute(wideOuts[i])})
+	}
 
 	if *update {
 		if err := os.MkdirAll(*dir, 0o755); err != nil {
 			return err
 		}
-		for _, o := range outs {
-			g := check.Compute(o)
-			path := filepath.Join(*dir, check.GoldenFile(o.Name))
-			if err := check.Save(path, g); err != nil {
+		for _, e := range entries {
+			path := filepath.Join(*dir, e.file)
+			if err := check.Save(path, e.golden); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", path)
@@ -79,22 +111,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	drifted := false
-	for _, o := range outs {
-		got := check.Compute(o)
-		path := filepath.Join(*dir, check.GoldenFile(o.Name))
+	for _, e := range entries {
+		path := filepath.Join(*dir, e.file)
 		want, err := check.Load(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "goldens: %s: %v (run with -update to create)\n", o.Name, err)
+			fmt.Fprintf(stderr, "goldens: %s: %v (run with -update to create)\n", e.label, err)
 			drifted = true
 			continue
 		}
-		diffs := check.Compare(got, want)
+		diffs := check.Compare(e.golden, want)
 		if len(diffs) == 0 {
-			fmt.Fprintf(stdout, "ok   %s\n", o.Name)
+			fmt.Fprintf(stdout, "ok   %s\n", e.label)
 			continue
 		}
 		drifted = true
-		fmt.Fprintf(stderr, "DRIFT %s:\n", o.Name)
+		fmt.Fprintf(stderr, "DRIFT %s:\n", e.label)
 		for _, d := range diffs {
 			fmt.Fprintf(stderr, "  %s\n", d)
 		}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"syncsim/internal/core"
@@ -29,6 +30,37 @@ func TestDifferentialAllWorkloads(t *testing.T) {
 				cfg := model.MachineConfig(machine.DefaultConfig())
 				cfg.MaxCycles = 50_000_000
 				rep, err := Differential(context.Background(), set, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Ok() {
+					t.Errorf("divergence:\n%s", rep)
+				}
+			})
+		}
+	}
+}
+
+// TestDifferentialWide runs the golden corpus's wide cells (Grav and
+// Topopt at 65 and 128 CPUs) through the differential harness: zero
+// divergence from the oracle under every model, with the invariant checker
+// validating the multi-word holder index at every periodic sweep.
+func TestDifferentialWide(t *testing.T) {
+	models := []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
+	for _, c := range WideCells {
+		for _, model := range models {
+			c, model := c, model
+			t.Run(fmt.Sprintf("%s/ncpu%d/%s", c.Benchmark, c.NCPU, model), func(t *testing.T) {
+				t.Parallel()
+				b, err := suite.ByName(c.Benchmark)
+				if err != nil {
+					t.Fatal(err)
+				}
+				set, err := b.Program.Generate(c.Params())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := Differential(context.Background(), set, model.MachineConfig(machine.DefaultConfig()))
 				if err != nil {
 					t.Fatal(err)
 				}

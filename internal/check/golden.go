@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +10,10 @@ import (
 	"strings"
 
 	"syncsim/internal/core"
+	"syncsim/internal/engine"
+	"syncsim/internal/machine"
+	"syncsim/internal/workload"
+	"syncsim/internal/workload/suite"
 )
 
 // IdealGolden pins a benchmark's trace-level ideal statistics — the
@@ -67,6 +72,64 @@ const (
 
 // GoldenFile maps a benchmark name to its corpus file name.
 func GoldenFile(name string) string { return strings.ToLower(name) + ".json" }
+
+// WideCell is a fixed golden cell past 64 processors, where every CPU set
+// the machine keeps (the holder index, the calendar's near and dirty sets,
+// the parallel scheduler's sweep) spans more than one 64-bit word.
+type WideCell struct {
+	Benchmark string
+	NCPU      int
+	Scale     float64
+}
+
+// WideCells are the corpus's wide cells, simulated at GoldenSeed under all
+// three models. Their scales are fixed and small because the per-processor
+// workload floors make wide machines costly.
+var WideCells = []WideCell{
+	{"Grav", 65, 0.005}, {"Grav", 128, 0.005},
+	{"Topopt", 65, 0.001}, {"Topopt", 128, 0.001},
+}
+
+// File is the cell's corpus file name.
+func (c WideCell) File() string {
+	return fmt.Sprintf("%s-ncpu%d.json", strings.ToLower(c.Benchmark), c.NCPU)
+}
+
+// Params are the cell's generation parameters.
+func (c WideCell) Params() workload.Params {
+	return workload.Params{NCPU: c.NCPU, Scale: c.Scale, Seed: GoldenSeed}
+}
+
+// RunWide simulates each cell under the paper's three models on one
+// engine with the given worker count (0 = GOMAXPROCS) and returns one
+// outcome per cell, in order.
+func RunWide(ctx context.Context, cells []WideCell, workers int) ([]*core.Outcome, error) {
+	models := []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
+	outs := make([]*core.Outcome, len(cells))
+	var tasks []engine.Task
+	for i, c := range cells {
+		b, err := suite.ByName(c.Benchmark)
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = &core.Outcome{Name: c.Benchmark, Paper: b.Paper, Params: c.Params(),
+			Results: make(map[core.Model]*machine.Result, len(models))}
+		for _, m := range models {
+			tasks = append(tasks, engine.Task{Program: b.Program, Params: c.Params(),
+				Label: m.String(), Config: m.MachineConfig(machine.DefaultConfig())})
+		}
+	}
+	results, _, err := engine.New(engine.Config{Workers: workers}).Run(ctx, tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		o := outs[i/len(models)]
+		o.Ideal = r.Ideal
+		o.Results[models[i%len(models)]] = r.Result
+	}
+	return outs, nil
+}
 
 // round3 quantises to 3 decimals so float formatting is stable across
 // regeneration and comparison is exact.

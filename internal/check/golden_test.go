@@ -10,8 +10,8 @@ import (
 )
 
 // TestGoldenCorpusFresh is the in-process twin of `go run ./cmd/goldens`:
-// a fresh simulation of every benchmark must match the committed corpus
-// exactly. Any intended behaviour change must regenerate the corpus with
+// a fresh simulation of every benchmark, and of every wide cell, must
+// match the committed corpus exactly. Any intended behaviour change must regenerate the corpus with
 // `go run ./cmd/goldens -update` in the same commit.
 func TestGoldenCorpusFresh(t *testing.T) {
 	if testing.Short() {
@@ -31,6 +31,19 @@ func TestGoldenCorpusFresh(t *testing.T) {
 		}
 		for _, d := range Compare(got, want) {
 			t.Errorf("%s drifted from the committed golden: %s", o.Name, d)
+		}
+	}
+	wide, err := RunWide(context.Background(), WideCells, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range WideCells {
+		want, err := Load(filepath.Join("testdata", "goldens", c.File()))
+		if err != nil {
+			t.Fatalf("%s: %v (regenerate with `go run ./cmd/goldens -update`)", c.File(), err)
+		}
+		for _, d := range Compare(Compute(wide[i]), want) {
+			t.Errorf("%s drifted from the committed golden: %s", c.File(), d)
 		}
 	}
 }
