@@ -26,12 +26,21 @@ import (
 
 const benchScale = 0.05
 
-// genOnce generates a benchmark trace once per process and replays it.
+// genCache holds the traces benchTraceAt has generated, by benchmark and
+// parameters.
 var genCache = map[string]*trace.Set{}
 
+// benchTrace returns a benchmark's trace at benchScale, ready to replay.
 func benchTrace(b *testing.B, name string) *trace.Set {
+	return benchTraceAt(b, name, workload.Params{Scale: benchScale, Seed: 1})
+}
+
+// benchTraceAt generates a benchmark trace once per process and
+// parameters, and rewinds it for each replay.
+func benchTraceAt(b *testing.B, name string, p workload.Params) *trace.Set {
 	b.Helper()
-	if set, ok := genCache[name]; ok {
+	key := fmt.Sprintf("%s %+v", name, p)
+	if set, ok := genCache[key]; ok {
 		if err := trace.Reset(set); err != nil {
 			b.Fatal(err)
 		}
@@ -41,11 +50,11 @@ func benchTrace(b *testing.B, name string) *trace.Set {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := bench.Program.Generate(workload.Params{Scale: benchScale, Seed: 1})
+	set, err := bench.Program.Generate(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	genCache[name] = set
+	genCache[key] = set
 	return set
 }
 
@@ -388,24 +397,40 @@ func BenchmarkMachineRun(b *testing.B) {
 // worker count clamps to GOMAXPROCS and the speculation runs inline; the
 // speedup over BenchmarkMachineRun is then purely algorithmic (leased
 // stretches skip the per-visited-cycle calendar machinery).
+//
+// The ncpu65 cases run Grav and Topopt on a 65-processor machine at the
+// scales of perfbench's wide-scaling workload, under the default model:
+// every per-processor set spans two words there, so a cost that returns
+// only past 64 processors shows in the gate.
 func BenchmarkMachineRunParallel(b *testing.B) {
+	run := func(b *testing.B, name string, p workload.Params, model core.Model) {
+		cfg := model.MachineConfig(machine.DefaultConfig())
+		cfg.Sched = machine.SchedParallel
+		cfg.Workers = 4
+		var cycles uint64
+		for i := 0; i < b.N; i++ {
+			set := benchTraceAt(b, name, p)
+			res, err := machine.Run(set, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles = res.RunTime
+		}
+		b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "simCycles/s")
+	}
 	for _, name := range suite.Names() {
 		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
 			b.Run(fmt.Sprintf("%s/%s", name, model), func(b *testing.B) {
-				cfg := model.MachineConfig(machine.DefaultConfig())
-				cfg.Sched = machine.SchedParallel
-				cfg.Workers = 4
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					set := benchTrace(b, name)
-					res, err := machine.Run(set, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = res.RunTime
-				}
-				b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "simCycles/s")
+				run(b, name, workload.Params{Scale: benchScale, Seed: 1}, model)
 			})
 		}
+	}
+	for _, wide := range []struct {
+		name  string
+		scale float64
+	}{{"Grav", 0.015}, {"Topopt", 0.003}} {
+		b.Run(wide.name+"/ncpu65", func(b *testing.B) {
+			run(b, wide.name, workload.Params{NCPU: 65, Scale: wide.scale, Seed: 1}, core.ModelQueue)
+		})
 	}
 }

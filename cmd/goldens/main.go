@@ -28,8 +28,6 @@ import (
 	"strings"
 
 	"syncsim/internal/check"
-	"syncsim/internal/core"
-	"syncsim/internal/workload/suite"
 )
 
 // errDrift marks a verify-mode mismatch; main maps it to exit code 1 after
@@ -59,41 +57,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := core.Options{Scale: *scale, Seed: *seed, Workers: *workers}
+	var names []string
 	if *only != "" {
-		opts.Only = strings.Split(*only, ",")
+		names = strings.Split(*only, ",")
 	}
-	outs, err := core.RunSuiteCtx(ctx, opts)
+	entries, err := check.Corpus(ctx, *scale, *seed, names, *workers)
 	if err != nil {
 		return err
-	}
-	sel, err := suite.NewSelection(opts.Only...)
-	if err != nil {
-		return err
-	}
-	var wide []check.WideCell
-	for _, c := range check.WideCells {
-		if sel.Contains(c.Benchmark) {
-			wide = append(wide, c)
-		}
-	}
-	wideOuts, err := check.RunWide(ctx, wide, *workers)
-	if err != nil {
-		return err
-	}
-
-	// One corpus entry per file: the suite's benchmarks, then the wide
-	// cells.
-	type entry struct {
-		label, file string
-		golden      *check.Golden
-	}
-	var entries []entry
-	for _, o := range outs {
-		entries = append(entries, entry{o.Name, check.GoldenFile(o.Name), check.Compute(o)})
-	}
-	for i, c := range wide {
-		entries = append(entries, entry{fmt.Sprintf("%s/ncpu%d", c.Benchmark, c.NCPU), c.File(), check.Compute(wideOuts[i])})
 	}
 
 	if *update {
@@ -101,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		for _, e := range entries {
-			path := filepath.Join(*dir, e.file)
-			if err := check.Save(path, e.golden); err != nil {
+			path := filepath.Join(*dir, e.File)
+			if err := check.Save(path, e.Golden); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", path)
@@ -112,20 +82,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	drifted := false
 	for _, e := range entries {
-		path := filepath.Join(*dir, e.file)
+		path := filepath.Join(*dir, e.File)
 		want, err := check.Load(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "goldens: %s: %v (run with -update to create)\n", e.label, err)
+			fmt.Fprintf(stderr, "goldens: %s: %v (run with -update to create)\n", e.Label, err)
 			drifted = true
 			continue
 		}
-		diffs := check.Compare(e.golden, want)
+		diffs := check.Compare(e.Golden, want)
 		if len(diffs) == 0 {
-			fmt.Fprintf(stdout, "ok   %s\n", e.label)
+			fmt.Fprintf(stdout, "ok   %s\n", e.Label)
 			continue
 		}
 		drifted = true
-		fmt.Fprintf(stderr, "DRIFT %s:\n", e.label)
+		fmt.Fprintf(stderr, "DRIFT %s:\n", e.Label)
 		for _, d := range diffs {
 			fmt.Fprintf(stderr, "  %s\n", d)
 		}

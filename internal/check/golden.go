@@ -100,10 +100,49 @@ func (c WideCell) Params() workload.Params {
 	return workload.Params{NCPU: c.NCPU, Scale: c.Scale, Seed: GoldenSeed}
 }
 
-// RunWide simulates each cell under the paper's three models on one
-// engine with the given worker count (0 = GOMAXPROCS) and returns one
-// outcome per cell, in order.
-func RunWide(ctx context.Context, cells []WideCell, workers int) ([]*core.Outcome, error) {
+// Entry is one corpus file with the golden a fresh run computes for it.
+type Entry struct {
+	Label  string // the benchmark, or bench/ncpuN for a wide cell
+	File   string // the file name within the corpus directory
+	Golden *Golden
+}
+
+// Corpus runs every corpus entry of the named benchmarks (none = all
+// six): each benchmark at scale and seed, then its wide cells at their
+// fixed parameters, on up to workers concurrent simulations (0 =
+// GOMAXPROCS).
+func Corpus(ctx context.Context, scale float64, seed int64, only []string, workers int) ([]Entry, error) {
+	sel, err := suite.NewSelection(only...)
+	if err != nil {
+		return nil, err
+	}
+	outs, err := core.RunSuiteCtx(ctx, core.Options{Scale: scale, Seed: seed, Select: sel, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	var entries []Entry
+	for _, o := range outs {
+		entries = append(entries, Entry{o.Name, GoldenFile(o.Name), Compute(o)})
+	}
+	var wide []WideCell
+	for _, c := range WideCells {
+		if sel.Contains(c.Benchmark) {
+			wide = append(wide, c)
+		}
+	}
+	wideOuts, err := runWide(ctx, wide, workers)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range wide {
+		entries = append(entries, Entry{fmt.Sprintf("%s/ncpu%d", c.Benchmark, c.NCPU), c.File(), Compute(wideOuts[i])})
+	}
+	return entries, nil
+}
+
+// runWide simulates each cell under the paper's three models on one
+// engine and returns one outcome per cell, in order.
+func runWide(ctx context.Context, cells []WideCell, workers int) ([]*core.Outcome, error) {
 	models := []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
 	outs := make([]*core.Outcome, len(cells))
 	var tasks []engine.Task

@@ -5,45 +5,28 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"syncsim/internal/core"
 )
 
 // TestGoldenCorpusFresh is the in-process twin of `go run ./cmd/goldens`:
 // a fresh simulation of every benchmark, and of every wide cell, must
-// match the committed corpus exactly. Any intended behaviour change must regenerate the corpus with
-// `go run ./cmd/goldens -update` in the same commit.
+// match the committed corpus exactly. Any intended behaviour change must
+// regenerate the corpus with `go run ./cmd/goldens -update` in the same
+// commit.
 func TestGoldenCorpusFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite regeneration")
 	}
-	outs, err := core.RunSuiteCtx(context.Background(),
-		core.Options{Scale: GoldenScale, Seed: GoldenSeed})
+	entries, err := Corpus(context.Background(), GoldenScale, GoldenSeed, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range outs {
-		got := Compute(o)
-		path := filepath.Join("testdata", "goldens", GoldenFile(o.Name))
-		want, err := Load(path)
+	for _, e := range entries {
+		want, err := Load(filepath.Join("testdata", "goldens", e.File))
 		if err != nil {
-			t.Fatalf("%s: %v (regenerate with `go run ./cmd/goldens -update`)", o.Name, err)
+			t.Fatalf("%s: %v (regenerate with `go run ./cmd/goldens -update`)", e.Label, err)
 		}
-		for _, d := range Compare(got, want) {
-			t.Errorf("%s drifted from the committed golden: %s", o.Name, d)
-		}
-	}
-	wide, err := RunWide(context.Background(), WideCells, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range WideCells {
-		want, err := Load(filepath.Join("testdata", "goldens", c.File()))
-		if err != nil {
-			t.Fatalf("%s: %v (regenerate with `go run ./cmd/goldens -update`)", c.File(), err)
-		}
-		for _, d := range Compare(Compute(wide[i]), want) {
-			t.Errorf("%s drifted from the committed golden: %s", c.File(), d)
+		for _, d := range Compare(e.Golden, want) {
+			t.Errorf("%s drifted from the committed golden: %s", e.Label, d)
 		}
 	}
 }

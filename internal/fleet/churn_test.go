@@ -198,7 +198,10 @@ func TestFleetLeaveDrainMidSweep(t *testing.T) {
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
 
-	body := `{"scale":0.01,"seed":9,"only":["Qsort","Grav","Topopt","Pverify"]}`
+	// Qsort is left out: its workload floor makes each of its cells a
+	// long simulation, and under the race detector on a small host the
+	// victim's pinned Qsort cells outlast the default DrainTimeout.
+	body := `{"scale":0.01,"seed":9,"only":["Pdsa","Grav","Topopt","Pverify"]}`
 	done := make(chan *api.SweepResponse, 1)
 	go func() { done <- postSweep(t, ts.URL, body) }()
 
@@ -288,7 +291,39 @@ func TestFleetHedgeRescuesSlowBackend(t *testing.T) {
 	plane.Set(chaos.Slowdown, 1)
 	plane.SetDelay(400 * time.Millisecond)
 	slow := startBackend(t, server.Config{Workers: 2, Chaos: plane}, nil)
-	fast := startBackend(t, server.Config{Workers: 2}, nil)
+
+	// Pick a (seed, benchmark) whose ring owner is the slow backend, so
+	// its cells' primary attempts are guaranteed to stall and the hedges
+	// are what completes them. Ownership depends on the ring's (random)
+	// URLs, so scan seeds until one routes to the slow member. The route
+	// keys of nearby seeds hash close together on the ring, so for about
+	// one URL pair in fifty none of 20 seeds' keys does: the fast backend
+	// is then replaced by one on a fresh port.
+	var fast *backend
+	var bench string
+	var seed int64
+	for try := 0; try < 5 && bench == ""; try++ {
+		fast = startBackend(t, server.Config{Workers: 2}, nil)
+		ring, err := NewRing([]string{slow.url, fast.url}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := int64(1); s <= 20 && bench == ""; s++ {
+			plan, err := server.PlanSweep(api.SweepRequest{Scale: 0.01, Seed: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cell := range plan.Cells {
+				if ring.Owner(RouteKey(cell.Plan.Route)) == slow.url {
+					bench, seed = cell.Bench, s
+					break
+				}
+			}
+		}
+	}
+	if bench == "" {
+		t.Fatal("no route key landed on the slow backend across 20 seeds and 5 fast backends")
+	}
 
 	coord, err := New(Config{
 		Backends:       []string{slow.url, fast.url},
@@ -303,29 +338,6 @@ func TestFleetHedgeRescuesSlowBackend(t *testing.T) {
 	defer coord.Close()
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-
-	// Pick a (seed, benchmark) whose ring owner is the slow backend, so
-	// its cells' primary attempts are guaranteed to stall and the hedges
-	// are what completes them. Ownership depends on the ring's (random
-	// httptest) URLs, so scan seeds until one routes to the slow member —
-	// 20 seeds × 6 route keys makes "never" astronomically unlikely.
-	var bench string
-	var seed int64
-	for s := int64(1); s <= 20 && bench == ""; s++ {
-		plan, err := server.PlanSweep(api.SweepRequest{Scale: 0.01, Seed: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cell := range plan.Cells {
-			if coord.Ring().Owner(RouteKey(cell.Plan.Route)) == slow.url {
-				bench, seed = cell.Bench, s
-				break
-			}
-		}
-	}
-	if bench == "" {
-		t.Fatal("no route key landed on the slow backend across 20 seeds")
-	}
 
 	body := fmt.Sprintf(`{"scale":0.01,"seed":%d,"only":[%q]}`, seed, bench)
 	got := postSweep(t, ts.URL, body)

@@ -3,6 +3,8 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"syncsim/internal/cache"
 )
@@ -185,23 +187,29 @@ func (k *checker) checkHolderIndex() error {
 	if wbs != m.wbPending {
 		return invariantf("write-back count drifted: index says %d, buffers hold %d", m.wbPending, wbs)
 	}
-	if m.holders == nil {
-		return nil
-	}
-	want := make(map[uint32]uint64, m.holders.lenLive())
+	want := make(map[uint32]cpuSet, m.holders.lenLive())
 	for i, c := range m.cpus {
-		bit := uint64(1) << uint(i)
 		c.cache.ForEachLine(func(addr uint32, st cache.State) {
-			want[addr] |= bit
+			set, ok := want[addr]
+			if !ok {
+				set = newCPUSet(len(m.cpus))
+				want[addr] = set
+			}
+			set.add(i)
 		})
 	}
 	if len(want) != m.holders.lenLive() {
 		return invariantf("holder index drifted: %d lines indexed, %d resident", m.holders.lenLive(), len(want))
 	}
-	for line, mask := range want {
-		if got := m.holders.get(line); got != mask {
-			return invariantf("holder index drifted on line %#x: indexed %#x, resident %#x%s",
-				line, got, mask, m.lineHolders(line))
+	for line, set := range want {
+		got, count := m.holders.get(line), m.holders.count(line)
+		n := 0
+		for _, w := range set {
+			n += bits.OnesCount64(w)
+		}
+		if !slices.Equal(got, set) || count != n {
+			return invariantf("holder index drifted on line %#x: indexed %#x (count %d), resident %#x%s",
+				line, got, count, set, m.lineHolders(line))
 		}
 	}
 	return nil

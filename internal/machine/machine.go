@@ -67,12 +67,13 @@ type Machine struct {
 	barriers map[uint32]*barrierState
 	lineBusy map[uint32]int // lines with an outstanding memory fill
 
-	// holders indexes line address → bitmask of processors whose cache
-	// holds it, maintained through each cache's residency Notify hook. It
-	// lets applySnoops and hasSupplier visit only actual holders instead of
-	// probing every cache per transaction. nil when NCPU exceeds the mask
-	// width; the full-scan paths remain as the fallback.
+	// holders indexes line address → set of processors whose cache holds
+	// it, maintained through each cache's residency Notify hook. It lets
+	// applySnoops and hasSupplier visit only actual holders instead of
+	// probing every cache per transaction.
 	holders *holderTable
+	// snoopSet is applySnoops' private copy of a line's holder set.
+	snoopSet cpuSet
 	// wbPending counts write-back entries across all cache-bus buffers.
 	// Zero (the common case) skips the per-processor pending-write-back
 	// scans in applySnoops and hasSupplier. It may transiently include
@@ -95,8 +96,8 @@ type Machine struct {
 	// every scheduler hook is a no-op and the original loop runs.
 	sched *scheduler
 	// par is the speculative parallel executor's state; non-nil only when
-	// Config.Sched is SchedParallel and the configuration supports it
-	// (holder index available, sources rewindable). See parallel.go.
+	// Config.Sched is SchedParallel and every source is rewindable. See
+	// parallel.go.
 	par   *parExec
 	iters uint64 // visited simulation cycles
 	steps uint64 // cpu step() invocations
@@ -125,9 +126,8 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		barriers: make(map[uint32]*barrierState),
 		lineBusy: make(map[uint32]int),
 	}
-	if set.NCPU() <= 64 {
-		m.holders = newHolderTable()
-	}
+	m.holders = newHolderTable(set.NCPU())
+	m.snoopSet = newCPUSet(set.NCPU())
 	for i, src := range set.Sources {
 		c := &cpu{
 			id:    i,
@@ -138,16 +138,13 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		}
 		c.buf.wbPending = &m.wbPending
 		c.buf.occupied = &m.occupiedBufs
-		if m.holders != nil {
-			bit := uint64(1) << uint(i)
-			c.cache.Notify(func(line uint32, resident bool) {
-				if resident {
-					m.holders.or(line, bit)
-				} else {
-					m.holders.clear(line, bit)
-				}
-			})
-		}
+		c.cache.Notify(func(line uint32, resident bool) {
+			if resident {
+				m.holders.or(line, i)
+			} else {
+				m.holders.clear(line, i)
+			}
+		})
 		m.cpus = append(m.cpus, c)
 	}
 	if cfg.Check {
@@ -163,11 +160,10 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		m.mem.Notify(m.sched.pushTime)
 	}
 	if cfg.Sched == SchedParallel {
-		// The speculative executor needs the holder index (to route
-		// snoops at leased processors) and rewindable sources (to replay
-		// a rolled-back speculation). Configurations outside that
-		// envelope silently fall back to the calendar loop — results are
-		// identical by construction, only the execution strategy differs.
+		// The speculative executor needs rewindable sources (to replay a
+		// rolled-back speculation). Without them it silently falls back to
+		// the calendar loop — results are identical by construction, only
+		// the execution strategy differs.
 		m.par = newParExec(m)
 	}
 	return m, nil
@@ -452,19 +448,12 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		// at now+1, exactly as the polling loop would.
 		s.drainDue(m.now)
 		if s.ndirty > 0 {
-			// Walk set bits with an advancing cursor rather than ranging
-			// over every CPU: a step that marks a higher index is caught
-			// later this sweep, one that marks a lower (or its own) index
-			// keeps the mark for the now+1 carryover — identical to the
-			// full-range scan. CPUs ≥ 64 (beyond the mask) use the
-			// fallback scan below.
-			for cursor := 0; cursor < 64; {
-				w := s.dirtyMask >> uint(cursor)
-				if w == 0 {
-					break
-				}
-				id := cursor + bits.TrailingZeros64(w)
-				cursor = id + 1
+			// Walk the dirty set with an advancing cursor rather than
+			// ranging over every CPU: a step that marks a higher index is
+			// caught later this sweep, one that marks a lower (or its own)
+			// index keeps the mark for the now+1 carryover — identical to
+			// the full-range scan.
+			for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
 				c := m.cpus[id]
 				s.unmark(id)
 				before := c.state
@@ -477,24 +466,6 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 				// Timed states are the only ones that wake by clock
 				// alone; every other blocked state is woken by an event
 				// hook.
-				switch c.state {
-				case stRun, stTTSBackoff:
-					s.wake(id, c.busyUntil)
-				}
-			}
-			for id := 64; id < len(m.cpus); id++ {
-				if !s.dirty[id] {
-					continue
-				}
-				c := m.cpus[id]
-				s.unmark(id)
-				before := c.state
-				beforeBusy := c.busyUntil
-				m.steps++
-				m.step(c, m.now)
-				if c.state != before || c.busyUntil != beforeBusy {
-					progress = true
-				}
 				switch c.state {
 				case stRun, stTTSBackoff:
 					s.wake(id, c.busyUntil)
@@ -628,29 +599,15 @@ func (m *Machine) ready(i int) bool {
 // write-back holds the line (Illinois supplies cache-to-cache even when
 // clean; buffered dirty lines are coherence-visible).
 func (m *Machine) hasSupplier(requester int, line uint32) bool {
-	if m.holders != nil {
-		if m.holders.get(line)&^(uint64(1)<<uint(requester)) != 0 {
-			return true
-		}
-		if m.wbPending == 0 {
-			return false
-		}
-		for j, c := range m.cpus {
-			if j == requester {
-				continue
-			}
-			if _, ok := c.buf.pendingWriteBack(line); ok {
-				return true
-			}
-		}
+	if m.holders.heldByOther(line, requester) {
+		return true
+	}
+	if m.wbPending == 0 {
 		return false
 	}
 	for j, c := range m.cpus {
 		if j == requester {
 			continue
-		}
-		if c.cache.Peek(line) != cache.Invalid {
-			return true
 		}
 		if _, ok := c.buf.pendingWriteBack(line); ok {
 			return true
@@ -668,13 +625,19 @@ func (m *Machine) applySnoops(requester int, line uint32, op cache.SnoopOp) (sup
 		op = cache.SnoopRead
 	}
 	invalidating := op != cache.SnoopRead
-	if m.holders != nil {
-		// Snoop only the caches that hold the line, in ascending processor
-		// order like the full scan below. The mask is read once up front:
-		// invalidations prune m.holders through the residency hook while
-		// the loop runs.
-		for mask := m.holders.get(line) &^ (uint64(1) << uint(requester)); mask != 0; mask &= mask - 1 {
-			j := bits.TrailingZeros64(mask)
+	// Snoop only the caches that hold the line, in ascending processor
+	// order. The holder set is copied out before the walk: invalidations
+	// prune the line's entry through the residency hook while the loop
+	// runs, and a leased processor's rollback re-announces residency,
+	// which can insert lines and rehash the table under a live view.
+	holders := m.snoopSet
+	for k, w := range m.holders.get(line) {
+		holders[k] = w
+	}
+	holders.remove(requester)
+	for w, mask := range holders {
+		for ; mask != 0; mask &= mask - 1 {
+			j := w<<6 + bits.TrailingZeros64(mask)
 			c := m.cpus[j]
 			res := m.snoopCache(j, line, op)
 			if res.HadCopy {
@@ -691,56 +654,23 @@ func (m *Machine) applySnoops(requester int, line uint32, op cache.SnoopOp) (sup
 				}
 			}
 		}
-		if m.wbPending != 0 {
-			for j, c := range m.cpus {
-				if j == requester {
-					continue
-				}
-				if wb, ok := c.buf.pendingWriteBack(line); ok {
-					supplied = true
-					if op == cache.SnoopReadOwn {
-						// Ownership moves to the requester; the queued
-						// write-back is superseded.
-						c.buf.remove(wb)
-						// The freed slot may unblock a buffer-full retry
-						// or complete a drain at the next cycle.
-						if m.sched != nil {
-							m.sched.wake(j, m.now+1)
-						}
-					}
-				}
-			}
-		}
-		return supplied
 	}
-	for j, c := range m.cpus {
-		if j == requester {
-			continue
-		}
-		res := m.snoopCache(j, line, op)
-		if res.HadCopy {
-			supplied = true
-			if invalidating && c.state == stTTSSpin &&
-				m.cfg.Cache.LineAddr(c.ttsLockAddr) == line {
-				c.ttsReread = true
-				// Snoops run at grant time, after this cycle's phase B,
-				// so the spinner re-tests at the next cycle — as the
-				// polling loop's full sweep would.
-				if m.sched != nil {
-					m.sched.wake(j, m.now+1)
-				}
+	if m.wbPending != 0 {
+		for j, c := range m.cpus {
+			if j == requester {
+				continue
 			}
-		}
-		if wb, ok := c.buf.pendingWriteBack(line); ok {
-			supplied = true
-			if op == cache.SnoopReadOwn {
-				// Ownership moves to the requester; the queued
-				// write-back is superseded.
-				c.buf.remove(wb)
-				// The freed slot may unblock a buffer-full retry or
-				// complete a drain at the next cycle.
-				if m.sched != nil {
-					m.sched.wake(j, m.now+1)
+			if wb, ok := c.buf.pendingWriteBack(line); ok {
+				supplied = true
+				if op == cache.SnoopReadOwn {
+					// Ownership moves to the requester; the queued
+					// write-back is superseded.
+					c.buf.remove(wb)
+					// The freed slot may unblock a buffer-full retry or
+					// complete a drain at the next cycle.
+					if m.sched != nil {
+						m.sched.wake(j, m.now+1)
+					}
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -141,13 +140,9 @@ type parExec struct {
 }
 
 // newParExec builds the speculative executor's state, or returns nil when
-// the configuration is outside its envelope (no holder index, or a source
-// that cannot rewind): the machine then runs the ordinary calendar loop,
-// which is bit-identical by construction.
+// a source cannot rewind: the machine then runs the ordinary calendar
+// loop, which is bit-identical by construction.
 func newParExec(m *Machine) *parExec {
-	if m.holders == nil {
-		return nil
-	}
 	p := &parExec{
 		leases:     make([]lease, len(m.cpus)),
 		journals:   make([]*cache.Journal, len(m.cpus)),
@@ -266,20 +261,13 @@ func (m *Machine) runParallel(ctx context.Context) error {
 		// Phase B: the index-order sweep of runCalendar, with three new
 		// cases per dirty processor — commit a lease that blocked at this
 		// cycle, skip a leased processor woken by a stale (pre-rollback)
-		// wakeup, or start a new lease. SchedParallel requires the holder
-		// index, so NCPU <= 64 and the dirty mask covers every processor.
+		// wakeup, or start a new lease.
 		s.drainDue(m.now)
 		if s.ndirty > 0 {
 			if p.jobs != nil {
 				m.predispatch()
 			}
-			for cursor := 0; cursor < 64; {
-				w := s.dirtyMask >> uint(cursor)
-				if w == 0 {
-					break
-				}
-				id := cursor + bits.TrailingZeros64(w)
-				cursor = id + 1
+			for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
 				s.unmark(id)
 				m.sweepCPU(id, &progress)
 			}
@@ -349,8 +337,8 @@ func (m *Machine) parWorker() {
 func (m *Machine) predispatch() {
 	p := m.par
 	n := 0
-	for mask := m.sched.dirtyMask; mask != 0; mask &= mask - 1 {
-		id := bits.TrailingZeros64(mask)
+	dirty := m.sched.dirty
+	for id := dirty.next(0); id >= 0; id = dirty.next(id + 1) {
 		if !p.leases[id].active && m.leasable(m.cpus[id]) {
 			p.scratch[n] = id
 			n++

@@ -88,34 +88,43 @@ func TestParallelSchedEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelFallbackManyCPUs: above 64 processors the holder index is not
-// built, which is outside the speculative executor's envelope — the machine
-// must fall back to the plain calendar loop and still match it exactly.
-func TestParallelFallbackManyCPUs(t *testing.T) {
-	const ncpu = 72
-	cpus := contentionTraces(ncpu)
-	run := func(sched SchedKind) *Result {
-		cfg := defCfg()
-		cfg.Sched = sched
-		cfg.Check = true
-		set := trace.BufferSet("manycpu", cpus)
-		m, err := New(set, cfg)
-		if err != nil {
-			t.Fatalf("New(%v): %v", sched, err)
+// TestParallelSchedEquivalenceManyCPUs pins the speculative scheduler to
+// the calendar past 64 processors, where the dirty set it walks and the
+// holder index it routes snoops through span two words: the executor must
+// be built, and every worker count must match the calendar bit-for-bit,
+// checker on.
+func TestParallelSchedEquivalenceManyCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, ncpu := range []int{72, 128} {
+		cpus := contentionTraces(ncpu)
+		run := func(sched SchedKind, workers int) *Result {
+			cfg := defCfg()
+			cfg.Sched = sched
+			cfg.Workers = workers
+			cfg.Check = true
+			set := trace.BufferSet("manycpu", cpus)
+			m, err := New(set, cfg)
+			if err != nil {
+				t.Fatalf("New(%v): %v", sched, err)
+			}
+			if sched == SchedParallel && m.par == nil {
+				t.Fatalf("parallel executor not built for %d CPUs with rewindable sources", ncpu)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("Run(%v workers=%d): %v", sched, workers, err)
+			}
+			res.Config = Config{}
+			res.Sched = SchedStats{}
+			return res
 		}
-		if sched == SchedParallel && m.par != nil {
-			t.Fatalf("parallel executor built for %d CPUs, want calendar fallback above 64", ncpu)
+		calendar := run(SchedCalendar, 0)
+		for _, workers := range []int{0, 2, 8} {
+			if parallel := run(SchedParallel, workers); !reflect.DeepEqual(calendar, parallel) {
+				t.Errorf("%d CPUs, workers=%d: parallel diverges from calendar:\ncalendar: %+v\nparallel: %+v",
+					ncpu, workers, calendar, parallel)
+			}
 		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatalf("Run(%v): %v", sched, err)
-		}
-		res.Config = Config{}
-		res.Sched = SchedStats{}
-		return res
-	}
-	if calendar, parallel := run(SchedCalendar), run(SchedParallel); !reflect.DeepEqual(calendar, parallel) {
-		t.Errorf("fallback diverges from calendar:\ncalendar: %+v\nfallback: %+v", calendar, parallel)
 	}
 }
 

@@ -122,29 +122,30 @@ func (h *cpuHeap) pop() cpuWakeup {
 // machine runs under SchedCalendar; under SchedPolling every hook is
 // guarded by a nil check and the original loop is used unchanged.
 type scheduler struct {
-	times  timeHeap
-	wakes  cpuHeap
-	dirty  []bool
+	times timeHeap
+	wakes cpuHeap
+	// dirty is the set of CPUs to step this cycle; the sweep walks it in
+	// ascending id order. ndirty counts its members.
+	dirty  cpuSet
 	ndirty int
 	// wakeAt dedups timed wakeups: re-stepping a running CPU must not
 	// push a second wakeup for the same busyUntil.
 	wakeAt []uint64
-	// nearAt/nearMask are the fast path for next-cycle wakeups, by far the
-	// most common kind (a hitting reference runs for one cycle; snoop and
+	// nearAt/near are the fast path for next-cycle wakeups, by far the most
+	// common kind (a hitting reference runs for one cycle; snoop and
 	// buffer-slot wakes land at now+1). During cycle t, nearAt is t+1 and
-	// nearMask collects the CPUs (< 64) due then as single bit-sets,
-	// skipping both heap operations the general path would pay. startCycle
-	// drains the mask into the dirty set when the clock arrives.
-	nearAt   uint64
-	nearMask uint64
-	// dirtyMask mirrors dirty for CPUs < 64 so the calendar sweep can walk
-	// set bits instead of scanning every processor each visited cycle.
-	dirtyMask uint64
+	// near collects the CPUs due then, skipping both heap operations the
+	// general path would pay; nearAny records that it is non-empty.
+	// startCycle drains it into the dirty set when the clock arrives.
+	nearAt  uint64
+	near    cpuSet
+	nearAny bool
 }
 
 func newScheduler(ncpu int) *scheduler {
 	return &scheduler{
-		dirty:  make([]bool, ncpu),
+		dirty:  newCPUSet(ncpu),
+		near:   newCPUSet(ncpu),
 		wakeAt: make([]uint64, ncpu),
 	}
 }
@@ -153,60 +154,56 @@ func newScheduler(ncpu int) *scheduler {
 func (s *scheduler) pushTime(at uint64) { s.times.push(at) }
 
 // wake schedules a timed wakeup for one CPU, deduplicating repeats at the
-// same cycle. Next-cycle wakeups of low-numbered CPUs take the nearMask
-// fast path; everything else goes through the heap.
+// same cycle. Next-cycle wakeups take the near-set fast path; everything
+// else goes through the heap.
 func (s *scheduler) wake(id int, at uint64) {
 	if s.wakeAt[id] == at {
 		return
 	}
 	s.wakeAt[id] = at
-	if at == s.nearAt && id < 64 {
-		s.nearMask |= uint64(1) << uint(id)
+	if at == s.nearAt {
+		s.near.add(id)
+		s.nearAny = true
 		return
 	}
 	s.wakes.push(cpuWakeup{at: at, id: id})
 }
 
 // startCycle begins a visited cycle: wakeups that were scheduled for it
-// through the nearMask fast path drain into the dirty set, and the mask is
+// through the near-set fast path drain into the dirty set, and the set is
 // re-armed for the following cycle. Must run before the cycle's phases so
-// that wakes issued during them (all at now+1) land in the fresh mask.
+// that wakes issued during them (all at now+1) land in the fresh set.
 func (s *scheduler) startCycle(now uint64) {
-	if s.nearMask != 0 && s.nearAt <= now {
-		for m := s.nearMask; m != 0; m &= m - 1 {
-			id := bits.TrailingZeros64(m)
-			if s.wakeAt[id] == s.nearAt {
-				s.wakeAt[id] = 0
+	if s.nearAny && s.nearAt <= now {
+		for w, m := range s.near {
+			for ; m != 0; m &= m - 1 {
+				id := w<<6 + bits.TrailingZeros64(m)
+				if s.wakeAt[id] == s.nearAt {
+					s.wakeAt[id] = 0
+				}
+				s.mark(id)
 			}
-			s.mark(id)
+			s.near[w] = 0
 		}
-		s.nearMask = 0
+		s.nearAny = false
 	}
 	s.nearAt = now + 1
 }
 
-// mark adds a CPU to the current cycle's dirty set.
+// mark adds a CPU to the current cycle's dirty set. mark and unmark are
+// branch-free — they run for every CPU a sweep steps, and a branch on the
+// bit costs more there than the arithmetic.
 func (s *scheduler) mark(id int) {
-	if s.dirty[id] {
-		return
-	}
-	s.dirty[id] = true
-	if id < 64 {
-		s.dirtyMask |= uint64(1) << uint(id)
-	}
-	s.ndirty++
+	w := &s.dirty[id>>6]
+	s.ndirty += int(^*w >> uint(id&63) & 1)
+	*w |= 1 << uint(id&63)
 }
 
 // unmark removes a CPU from the dirty set (it is about to be stepped).
 func (s *scheduler) unmark(id int) {
-	if !s.dirty[id] {
-		return
-	}
-	s.dirty[id] = false
-	if id < 64 {
-		s.dirtyMask &^= uint64(1) << uint(id)
-	}
-	s.ndirty--
+	w := &s.dirty[id>>6]
+	s.ndirty -= int(*w >> uint(id&63) & 1)
+	*w &^= 1 << uint(id&63)
 }
 
 // drainDue moves every timed wakeup due at or before now into the dirty
@@ -226,7 +223,7 @@ func (s *scheduler) drainDue(now uint64) {
 // with work still pending that is a deadlock, exactly like the polling
 // loop's failed nextTime scan.
 func (s *scheduler) nextAfter(now uint64) (uint64, bool) {
-	if s.nearMask != 0 {
+	if s.nearAny {
 		// A pending next-cycle wakeup means now+1 is the answer — no
 		// candidate can be earlier. Stale time entries keep until a later
 		// call; they are bounded by what was pushed.

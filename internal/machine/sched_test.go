@@ -71,10 +71,10 @@ func TestSchedulerDrainDue(t *testing.T) {
 	s.wake(2, 7)
 	s.wake(3, 9)
 	s.drainDue(7)
-	if !s.dirty[1] || !s.dirty[2] {
+	if !s.dirty.has(1) || !s.dirty.has(2) {
 		t.Error("wakeups due at or before now must be drained into the dirty set")
 	}
-	if s.dirty[3] {
+	if s.dirty.has(3) {
 		t.Error("future wakeup drained early")
 	}
 	if s.ndirty != 2 {
@@ -98,7 +98,7 @@ func TestSchedulerMarkUnmark(t *testing.T) {
 	}
 	s.unmark(0)
 	s.unmark(0) // idempotent
-	if s.ndirty != 1 || s.dirty[0] || !s.dirty[3] {
+	if s.ndirty != 1 || s.dirty.has(0) || !s.dirty.has(3) {
 		t.Fatalf("after unmark: ndirty=%d dirty=%v", s.ndirty, s.dirty)
 	}
 }
@@ -131,60 +131,107 @@ func TestSchedulerNextAfter(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalenceManyCPUs pins the calendar's fallback paths for
-// machines with more than 64 processors — no holder index, no
-// nearMask/dirtyMask bit tricks (CPU ids ≥ 64 use the plain dirty slice
-// and wakeup heap) — to the polling loop, checker on, on a workload with
-// real contention: one hot lock, a shared hot line, and per-CPU private
+// TestSchedulerSweepCursor pins the multi-word cursor walk the calendar
+// and parallel sweeps use over the dirty set. A CPU marked mid-sweep above
+// the cursor — in the same word or a later one — is visited in the same
+// sweep; one marked at or below the cursor (its own id included) keeps its
+// mark and is visited by the next cycle's sweep, as the polling loop's
+// full in-order scan would.
+func TestSchedulerSweepCursor(t *testing.T) {
+	s := newScheduler(200)
+	sweep := func(perturb func(id int)) (visited []int) {
+		for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
+			s.unmark(id)
+			visited = append(visited, id)
+			perturb(id)
+		}
+		return visited
+	}
+	s.mark(3)
+	s.mark(70)
+	got := sweep(func(id int) {
+		switch id {
+		case 3:
+			s.mark(130) // a later word: this sweep
+			s.mark(3)   // its own id: carries
+		case 70:
+			s.mark(71)  // just above the cursor: this sweep
+			s.mark(65)  // below the cursor, same word: carries
+			s.mark(1)   // an earlier word: carries
+			s.mark(199) // the last id of the last word: this sweep
+		case 130:
+			s.mark(130) // its own id again, in a later word: carries
+		}
+	})
+	if want := []int{3, 70, 71, 130, 199}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first sweep visited %v, want %v", got, want)
+	}
+	if s.ndirty != 4 {
+		t.Fatalf("ndirty after the sweep = %d, want 4 carried marks", s.ndirty)
+	}
+	if got, want := sweep(func(int) {}), []int{1, 3, 65, 130}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("carry-over sweep visited %v, want %v", got, want)
+	}
+	if s.ndirty != 0 || s.dirty.next(0) >= 0 {
+		t.Fatalf("dirty set not empty after the carry-over sweep: ndirty=%d", s.ndirty)
+	}
+}
+
+// TestSchedulerEquivalenceManyCPUs pins the calendar to the polling loop
+// past 64 processors, where the holder index and the calendar's near and
+// dirty sets span two words, checker on, on a workload with real
+// contention: one hot lock, a shared hot line, and per-CPU private
 // traffic.
 func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
-	const ncpu = 72
-	cpus := make([][]trace.Event, ncpu)
-	for i := range cpus {
-		private := 0x4000 + uint32(i)*0x100
-		cpus[i] = []trace.Event{
-			trace.Exec(uint32(1 + i%7)),
-			trace.Read(0x1000), // shared hot line
-			trace.Write(private),
-			trace.Lock(0, 0x9000),
-			trace.Exec(3),
-			trace.Write(0x1000), // invalidation storm inside the CS
-			trace.Unlock(0, 0x9000),
-			trace.Read(private),
-			trace.Barrier(0),
-			trace.Exec(2),
+	for _, ncpu := range []int{72, 128} {
+		cpus := make([][]trace.Event, ncpu)
+		for i := range cpus {
+			private := 0x4000 + uint32(i)*0x100
+			cpus[i] = []trace.Event{
+				trace.Exec(uint32(1 + i%7)),
+				trace.Read(0x1000), // shared hot line
+				trace.Write(private),
+				trace.Lock(0, 0x9000),
+				trace.Exec(3),
+				trace.Write(0x1000), // invalidation storm inside the CS
+				trace.Unlock(0, 0x9000),
+				trace.Read(private),
+				trace.Barrier(0),
+				trace.Exec(2),
+			}
 		}
-	}
 
-	runWith := func(sched SchedKind, model locks.Algorithm) *Result {
-		cfg := defCfg()
-		cfg.Sched = sched
-		cfg.Check = true
-		cfg.Lock = model
-		set := trace.BufferSet("manycpu", cpus)
-		m, err := New(set, cfg)
-		if err != nil {
-			t.Fatalf("New(%v): %v", sched, err)
+		runWith := func(sched SchedKind, model locks.Algorithm) *Result {
+			cfg := defCfg()
+			cfg.Sched = sched
+			cfg.Check = true
+			cfg.Lock = model
+			set := trace.BufferSet("manycpu", cpus)
+			m, err := New(set, cfg)
+			if err != nil {
+				t.Fatalf("New(%v): %v", sched, err)
+			}
+			if m.holders == nil || len(m.holders.get(0)) != (ncpu+63)/64 {
+				t.Fatalf("holder index for %d CPUs not built with %d-word slots", ncpu, (ncpu+63)/64)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("Run(%v, %v): %v", sched, model, err)
+			}
+			// The only fields allowed to differ: the scheduler selection
+			// echoed in the result's config, and the loops' own work
+			// counters.
+			res.Config.Sched = SchedCalendar
+			res.Sched = SchedStats{}
+			return res
 		}
-		if sched == SchedCalendar && m.holders != nil {
-			t.Fatalf("holder index built for %d CPUs, want nil above 64", ncpu)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatalf("Run(%v, %v): %v", sched, model, err)
-		}
-		// The only fields allowed to differ: the scheduler selection echoed
-		// in the result's config, and the loops' own work counters.
-		res.Config.Sched = SchedCalendar
-		res.Sched = SchedStats{}
-		return res
-	}
-	for _, model := range []locks.Algorithm{locks.Queue, locks.TTS} {
-		calendar := runWith(SchedCalendar, model)
-		polling := runWith(SchedPolling, model)
-		if !reflect.DeepEqual(calendar, polling) {
-			t.Errorf("calendar and polling diverge on 72-CPU run under %v:\ncalendar: %+v\npolling:  %+v",
-				model, calendar, polling)
+		for _, model := range []locks.Algorithm{locks.Queue, locks.TTS} {
+			calendar := runWith(SchedCalendar, model)
+			polling := runWith(SchedPolling, model)
+			if !reflect.DeepEqual(calendar, polling) {
+				t.Errorf("calendar and polling diverge on %d-CPU run under %v:\ncalendar: %+v\npolling:  %+v",
+					ncpu, model, calendar, polling)
+			}
 		}
 	}
 }
