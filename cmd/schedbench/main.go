@@ -5,6 +5,12 @@
 // schedulers under comparison are interleaved so host noise hits them
 // equally, and their per-row best times divide into the speedup.
 //
+// The calendar rows and the parallel rows at -workers 0 or 1 run one loop,
+// the calendar with its inline speculative leases, so they differ only by
+// noise; parallel rows at higher worker counts add the helper goroutines.
+// BENCH_pr3.json and BENCH_pr7.json predate the inline leases: their
+// calendar rows time the calendar without them.
+//
 // Usage:
 //
 //	schedbench                      # table on stdout, calendar scheduler

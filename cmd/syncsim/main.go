@@ -14,10 +14,11 @@
 // With -stream the trace is not materialised: generation runs concurrently
 // with simulation through a bounded ring, so memory stays O(ring budget)
 // instead of O(trace). Streaming skips the ideal-trace analysis (the events
-// are consumed as they are produced and cannot be rewound) and always
-// simulates on the serial calendar scheduler. -membudget N makes the run
-// fail if peak sampled heap use ever exceeds N MiB — CI uses it to pin the
-// bounded-memory property.
+// are consumed as they are produced and cannot be rewound), and the
+// calendar and parallel schedulers then step every processor serially, with
+// no speculative run-ahead. -membudget N makes the run fail if peak sampled
+// heap use ever exceeds N MiB — CI uses it to pin the bounded-memory
+// property.
 //
 // Interrupting a run (Ctrl-C) cancels the simulation promptly.
 package main
@@ -133,9 +134,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	showMetrics := fs.Bool("metrics", false, "print the per-phase run report (generate/analyze/simulate wall time, throughput)")
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
-	sched := fs.String("sched", "calendar", "simulation scheduler: calendar (event-driven), polling (step every CPU every cycle), or parallel (speculative run-ahead, bit-identical)")
+	sched := fs.String("sched", "calendar", "simulation scheduler: calendar (event-driven with speculative run-ahead), polling (step every CPU every cycle), or parallel (calendar plus -workers helper goroutines); all bit-identical")
 	schedWorkers := fs.Int("workers", 0, "worker goroutines for the parallel scheduler (0/1 = inline speculation)")
-	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis; serial scheduler)")
+	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis and speculative leases)")
 	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -310,6 +311,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	rep.SimCycles = res.RunTime
 	rep.SchedIters = res.Sched.Iterations
 	rep.SchedSteps = res.Sched.Steps
+	rep.SchedLeasedSteps = res.Sched.LeasedSteps
+	rep.SchedRollbacks = res.Sched.Rollbacks
 
 	fmt.Fprintf(stdout, "%s  (%d CPUs, lock=%s, consistency=%s)\n", res.Name, len(res.CPUs), cfg.Lock, cfg.Consistency)
 	if handle != nil {
@@ -346,6 +349,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		fmt.Fprintf(stdout, "            %s scheduler: %d iterations, %d steps (%.1f cycles/iteration)\n",
 			cfg.Sched, rep.SchedIters, rep.SchedSteps, rep.SchedEfficiency())
+		fmt.Fprintf(stdout, "            leases: %d leased steps (%.1f%% of steps), %d rollbacks\n",
+			rep.SchedLeasedSteps, 100*rep.LeasedShare(), rep.SchedRollbacks)
 	}
 	if *hotLocks > 0 {
 		fmt.Fprintln(stdout, "  hottest locks:")

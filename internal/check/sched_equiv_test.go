@@ -2,13 +2,19 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"syncsim/internal/core"
+	"syncsim/internal/engine"
 	"syncsim/internal/machine"
+	"syncsim/internal/workload"
+	"syncsim/internal/workload/suite"
 )
+
+var equivModels = []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
 
 // schedEquivSuite runs the full benchmark suite at the golden corpus scale
 // under the given scheduler configuration.
@@ -28,6 +34,41 @@ func schedEquivSuite(t *testing.T, sched machine.SchedKind, workers int) []*core
 	return outs
 }
 
+// leaseFreeSuite runs the full benchmark suite at the golden corpus scale
+// under the default calendar, as streamed engine tasks. A streamed trace
+// cannot rewind, so the calendar runs without leases: every processor
+// visit is a serial step.
+func leaseFreeSuite(t *testing.T) []*core.Outcome {
+	t.Helper()
+	params := workload.Params{Scale: GoldenScale, Seed: GoldenSeed}
+	benches := suite.All()
+	var tasks []engine.Task
+	for _, b := range benches {
+		for _, model := range equivModels {
+			tasks = append(tasks, engine.Task{
+				Program: b.Program, Params: params, Label: model.String(),
+				Config: model.MachineConfig(machine.DefaultConfig()), Stream: true,
+			})
+		}
+	}
+	results, _, err := engine.New(engine.Config{}).Run(context.Background(), tasks)
+	if err != nil {
+		t.Fatalf("lease-free suite: %v", err)
+	}
+	outs := make([]*core.Outcome, len(benches))
+	for i, b := range benches {
+		outs[i] = &core.Outcome{Name: b.Program.Name(), Results: make(map[core.Model]*machine.Result)}
+		for j, model := range equivModels {
+			res := results[i*len(equivModels)+j].Result
+			if res.Sched.LeasedSteps != 0 {
+				t.Fatalf("%s/%v: the lease-free reference leased %d steps", outs[i].Name, model, res.Sched.LeasedSteps)
+			}
+			outs[i].Results[model] = res
+		}
+	}
+	return outs
+}
+
 // assertSuitesEqual pins two suite runs bit-for-bit: every Result field —
 // run time, every per-CPU stall counter, cache/bus/memory/lock statistics —
 // must be identical across all six benchmarks and all three machine models.
@@ -43,7 +84,7 @@ func assertSuitesEqual(t *testing.T, aName, bName string, a, b []*core.Outcome) 
 		if ao.Name != bo.Name {
 			t.Fatalf("benchmark order diverged: %s vs %s", ao.Name, bo.Name)
 		}
-		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
+		for _, model := range equivModels {
 			ar, ok := ao.Results[model]
 			if !ok {
 				t.Fatalf("%s/%v: missing %s result", ao.Name, model, aName)
@@ -60,33 +101,51 @@ func assertSuitesEqual(t *testing.T, aName, bName string, a, b []*core.Outcome) 
 	}
 }
 
-// TestSchedulerEquivalence pins the three schedulers to each other
-// bit-for-bit across the full benchmark matrix: the wakeup calendar
-// against the retained polling loop, and the speculative parallel
-// scheduler — at every interesting worker count — against the calendar.
-// Worker counts beyond one exercise the goroutine pool and the
-// pre-dispatch/join path; results must be invariant under all of them and
-// under GOMAXPROCS (the host's parallelism must never leak into simulated
-// time).
-func TestSchedulerEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full 6×3 matrix under six scheduler configurations")
-	}
-	calendar := schedEquivSuite(t, machine.SchedCalendar, 0)
-	polling := schedEquivSuite(t, machine.SchedPolling, 0)
-	assertSuitesEqual(t, "calendar", "polling", calendar, polling)
-
-	// The calendar must actually be doing less work, not just the same
-	// sweep under a new name.
-	for i := range calendar {
-		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
-			cr, pr := calendar[i].Results[model], polling[i].Results[model]
-			if cr.Sched.Steps >= pr.Sched.Steps {
-				t.Errorf("%s/%v: calendar stepped %d times, polling %d — no work saved",
-					calendar[i].Name, model, cr.Sched.Steps, pr.Sched.Steps)
+// assertLess fails every benchmark × model cell whose work counter, as
+// read by count, is not strictly below the reference run's.
+func assertLess(t *testing.T, what, name, refName string, runs, ref []*core.Outcome, count func(machine.SchedStats) uint64) {
+	t.Helper()
+	for i := range runs {
+		for _, model := range equivModels {
+			got, want := count(runs[i].Results[model].Sched), count(ref[i].Results[model].Sched)
+			if got >= want {
+				t.Errorf("%s/%v: %s %s %d, %s %d — no work saved",
+					runs[i].Name, model, name, what, got, refName, want)
 			}
 		}
 	}
+}
+
+// TestSchedulerEquivalence pins the schedulers to each other bit-for-bit
+// across the full benchmark matrix: the retained polling loop is the
+// reference for the calendar without leases (over streamed sources, which
+// cannot rewind), the default calendar, which leases, and the parallel
+// scheduler at every interesting worker count. Worker counts beyond one
+// exercise the goroutine pool and the pre-dispatch/join path; results must
+// be invariant under all of them and under GOMAXPROCS (the host's
+// parallelism must never leak into simulated time).
+func TestSchedulerEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full 6×3 matrix under seven scheduler configurations")
+	}
+	polling := schedEquivSuite(t, machine.SchedPolling, 0)
+	leaseFree := leaseFreeSuite(t)
+	calendar := schedEquivSuite(t, machine.SchedCalendar, 0)
+	assertSuitesEqual(t, "polling", "lease-free", polling, leaseFree)
+	assertSuitesEqual(t, "polling", "calendar", polling, calendar)
+
+	// Each layer must actually be doing less work, not just the same
+	// sweep under a new name: the calendar steps only dirty or due
+	// processors, and leases collapse each private stretch into a single
+	// wakeup at its blocking cycle. (Step counts of leased runs are not
+	// compared with the lease-free run — superseded post-rollback wakeups
+	// add no-op steps and weak-ordering write stretches merge steps, in
+	// both directions, without affecting any architectural result.)
+	steps := func(s machine.SchedStats) uint64 { return s.Steps }
+	iterations := func(s machine.SchedStats) uint64 { return s.Iterations }
+	assertLess(t, "stepped", "lease-free", "polling", leaseFree, polling, steps)
+	assertLess(t, "stepped", "calendar", "polling", calendar, polling, steps)
+	assertLess(t, "visited", "calendar", "lease-free", calendar, leaseFree, iterations)
 
 	// Force real host parallelism for the worker-pool runs even on a
 	// single-CPU machine: Config.Workers is clamped to GOMAXPROCS, so
@@ -94,22 +153,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	for _, workers := range []int{1, 2, 4, 8} {
+		name := fmt.Sprintf("parallel(workers=%d)", workers)
 		parallel := schedEquivSuite(t, machine.SchedParallel, workers)
-		assertSuitesEqual(t, "calendar", "parallel", calendar, parallel)
-		for i := range parallel {
-			for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
-				cr, pr := calendar[i].Results[model], parallel[i].Results[model]
-				// Speculation must visit strictly fewer cycles than the
-				// calendar: leased stretches collapse into a single wakeup
-				// at the blocking cycle. (Step counts are not compared —
-				// superseded post-rollback wakeups add no-op steps and
-				// weak-ordering write stretches merge steps, in both
-				// directions, without affecting any architectural result.)
-				if pr.Sched.Iterations >= cr.Sched.Iterations {
-					t.Errorf("%s/%v workers=%d: parallel visited %d cycles, calendar %d — no lookahead won",
-						parallel[i].Name, model, workers, pr.Sched.Iterations, cr.Sched.Iterations)
-				}
-			}
-		}
+		assertSuitesEqual(t, "polling", name, polling, parallel)
+		assertLess(t, "visited", name, "lease-free", parallel, leaseFree, iterations)
 	}
 }

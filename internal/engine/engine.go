@@ -47,8 +47,8 @@ type Task struct {
 	// O(StreamBudget) instead of O(trace). The trace cache is bypassed
 	// (CacheStats.Bypassed), no ideal statistics are computed (Ideal is
 	// the zero Summary — AnalyzeIdeal would consume the stream), and the
-	// machine falls back to the serial calendar scheduler. Incompatible
-	// with IdealOnly.
+	// machine steps every processor serially: a stream cannot rewind, so
+	// no speculative lease is taken. Incompatible with IdealOnly.
 	Stream bool
 	// StreamBudget is the ring's total event budget across CPUs when
 	// streaming; 0 selects workload.DefaultStreamBudget.
@@ -298,6 +298,8 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 		if out.Result != nil {
 			out.Report.SchedIters = out.Result.Sched.Iterations
 			out.Report.SchedSteps = out.Result.Sched.Steps
+			out.Report.SchedLeasedSteps = out.Result.Sched.LeasedSteps
+			out.Report.SchedRollbacks = out.Result.Sched.Rollbacks
 		}
 		if info.Hit {
 			out.Report.CacheHits = 1
@@ -345,6 +347,9 @@ func (e *Engine) runStreamTask(ctx context.Context, t *Task, tm taskMetrics) (Ta
 			SimCycles:  res.RunTime,
 			SchedIters: res.Sched.Iterations,
 			SchedSteps: res.Sched.Steps,
+			// A stream cannot rewind, so these stay zero: nothing leases.
+			SchedLeasedSteps: res.Sched.LeasedSteps,
+			SchedRollbacks:   res.Sched.Rollbacks,
 		}
 	}
 	return out, nil

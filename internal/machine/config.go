@@ -53,20 +53,24 @@ const (
 	// SchedCalendar (the default) drives the machine off a wakeup
 	// calendar: min-heaps of component wakeup times plus a dirty set of
 	// perturbed processors, so each visited cycle steps only the CPUs
-	// that can act and the next cycle is a heap pop.
+	// that can act and the next cycle is a heap pop. On the same
+	// coordinator goroutine it speculatively runs each processor through
+	// its purely-local event stretches (execution bursts and cache hits)
+	// ahead of the global clock, committing the speculation in calendar
+	// order and rolling it back when a bus snoop invalidates it; every
+	// bus transaction is still ordered exactly as without speculation.
+	// Over a source that cannot rewind (no trace.Marker, such as a
+	// streamed ring) it steps every processor serially. See
+	// internal/machine/parallel.go and DESIGN §12 and §16.
 	SchedCalendar SchedKind = iota
 	// SchedPolling is the original loop: every visited cycle steps every
 	// processor and rescans every component for the next event time. Kept
 	// for differential testing against the calendar scheduler.
 	SchedPolling
-	// SchedParallel drives the machine off the same wakeup calendar but
-	// speculatively runs each processor through its purely-local event
-	// stretches (execution bursts and cache hits) ahead of the global
-	// clock, committing the speculation in calendar order and rolling it
-	// back when a bus snoop invalidates it. Every bus transaction is
-	// ordered exactly as under SchedCalendar, so results are
-	// bit-identical; Config.Workers bounds the helper goroutines. See
-	// internal/machine/parallel.go and DESIGN §16.
+	// SchedParallel is SchedCalendar plus a worker pool: the speculative
+	// run-ahead of eligible processors is handed to up to Config.Workers
+	// helper goroutines and joined in calendar order, so results are
+	// bit-identical for every worker count.
 	SchedParallel
 )
 
@@ -129,8 +133,8 @@ type Config struct {
 	Sched SchedKind
 	// Workers bounds the helper goroutines SchedParallel may use for
 	// speculative processor run-ahead. 0 or 1 keeps the speculation
-	// inline on the coordinator (the same algorithm with no goroutines);
-	// larger values are clamped to GOMAXPROCS and to the processor count.
+	// inline on the coordinator, exactly as SchedCalendar runs it; larger
+	// values are clamped to GOMAXPROCS and to the processor count.
 	// Results are bit-identical for every value. Ignored by the other
 	// schedulers.
 	Workers int `json:",omitempty"`

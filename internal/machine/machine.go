@@ -95,12 +95,14 @@ type Machine struct {
 	// sched is the wakeup calendar; nil under SchedPolling, in which case
 	// every scheduler hook is a no-op and the original loop runs.
 	sched *scheduler
-	// par is the speculative parallel executor's state; non-nil only when
-	// Config.Sched is SchedParallel and every source is rewindable. See
-	// parallel.go.
-	par   *parExec
-	iters uint64 // visited simulation cycles
-	steps uint64 // cpu step() invocations
+	// par is the calendar's speculative executor (leases, journals and
+	// SchedParallel's worker pool); nil under SchedPolling or when a
+	// source cannot rewind. See parallel.go.
+	par       *parExec
+	iters     uint64 // visited simulation cycles
+	steps     uint64 // cpu step() invocations
+	leased    uint64 // steps run under a committed lease
+	rollbacks uint64 // leases rolled back by a conflicting snoop
 
 	// heartbeat, when non-nil, is fed at every cancellation poll (see
 	// WithHeartbeat). Set by RunCtx from its context.
@@ -151,19 +153,17 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		m.checker = newChecker(m)
 		m.locks.EnableAudit()
 	}
-	if cfg.Sched == SchedCalendar || cfg.Sched == SchedParallel {
+	if cfg.Sched != SchedPolling {
 		m.sched = newScheduler(len(m.cpus))
 		// Event registration: the bus and the memory module announce
 		// completion times as transactions start, replacing the polling
 		// loop's per-iteration NextEventAt/Free scans.
 		m.bus.Notify(m.sched.pushTime)
 		m.mem.Notify(m.sched.pushTime)
-	}
-	if cfg.Sched == SchedParallel {
 		// The speculative executor needs rewindable sources (to replay a
-		// rolled-back speculation). Without them it silently falls back to
-		// the calendar loop — results are identical by construction, only
-		// the execution strategy differs.
+		// rolled-back speculation). Without them every processor takes
+		// the calendar's lease-free serial step — results are identical
+		// by construction, only the execution strategy differs.
 		m.par = newParExec(m)
 	}
 	return m, nil
@@ -237,12 +237,9 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 	}
 	m.heartbeat = heartbeatFrom(ctx)
 	var err error
-	switch {
-	case m.par != nil:
-		err = m.runParallel(ctx)
-	case m.sched != nil:
+	if m.sched != nil {
 		err = m.runCalendar(ctx)
-	default:
+	} else {
 		err = m.runPolling(ctx)
 	}
 	if err != nil {
@@ -381,12 +378,17 @@ func (m *Machine) runPolling(ctx context.Context) error {
 	return nil
 }
 
-// runCalendar is the default main loop: a wakeup-calendar scheduler. Each
-// visited cycle runs the same three phases as runPolling, but phase B
-// steps only CPUs that are dirty (perturbed at this cycle by a completed
-// transaction, snoop, lock grant or barrier release) or due (a timed
-// wakeup arrived), and the next visited cycle is a heap pop instead of an
-// O(P) rescan. See the commentary in sched.go for why this is cycle-exact.
+// runCalendar is the main loop of the calendar and parallel schedulers: a
+// wakeup calendar with the lease discipline of parallel.go layered into
+// phase B. Each visited cycle runs the same three phases as runPolling, but
+// phase B visits only CPUs that are dirty (perturbed at this cycle by a
+// completed transaction, snoop, lock grant or barrier release) or due (a
+// timed wakeup arrived), and the next visited cycle is a heap pop instead of
+// an O(P) rescan. A processor with nothing global pending runs ahead under
+// a lease and is visited again only where it needs the bus; without an
+// executor (a source that cannot rewind) every visit is a plain serial
+// step. See sched.go for why the calendar is cycle-exact and parallel.go for
+// why the leases are.
 func (m *Machine) runCalendar(ctx context.Context) error {
 	s := m.sched
 	window := m.progressWindow()
@@ -394,6 +396,11 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 	idleIters := uint64(0)
 	sinceCheck := uint64(0)
 	ready := m.ready // hoisted: a method value allocates per evaluation
+
+	if workers := m.effectiveWorkers(); workers > 1 {
+		stop := m.startWorkers(workers)
+		defer stop()
+	}
 
 	// Every processor starts in stFetch and must consume its first trace
 	// events at cycle 0.
@@ -421,13 +428,14 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		progress := false
 		// Drain next-cycle wakeups scheduled for this cycle and re-arm the
 		// fast path before any phase runs: phase A and C wakes all target
-		// now+1 and must land in the fresh mask.
+		// now+1 and must land in the fresh set.
 		s.startCycle(m.now)
 
 		// Phase A: complete the bus transaction ending now; advance the
 		// memory pipeline. Transaction completion marks the perturbed
 		// CPUs dirty; the memory module registers its own completion
-		// wakeup through the Notify hook inside Tick.
+		// wakeup through the Notify hook inside Tick. Neither can target
+		// a leased processor (no buffered entries, no blocked states).
 		if m.txn.active && m.now >= m.txn.at {
 			t := m.txn
 			m.completeTxn()
@@ -440,36 +448,21 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		}
 		m.mem.Tick(m.now)
 
-		// Phase B: step only dirty or due processors, in index order —
+		// Phase B: visit only dirty or due processors, in index order —
 		// the same order the polling loop's full sweep visits them, which
-		// matters when a step releases a barrier mid-sweep. A CPU marked
-		// dirty at an index the sweep has already passed (a barrier
-		// releasing lower-indexed waiters) keeps its mark and is stepped
-		// at now+1, exactly as the polling loop would.
+		// matters when a step releases a barrier mid-sweep. The cursor
+		// walk keeps the full scan's carry-over: a step that marks a
+		// higher index is caught later this sweep, one that marks a lower
+		// (or its own) index keeps the mark and is visited at now+1,
+		// exactly as the polling loop would.
 		s.drainDue(m.now)
 		if s.ndirty > 0 {
-			// Walk the dirty set with an advancing cursor rather than
-			// ranging over every CPU: a step that marks a higher index is
-			// caught later this sweep, one that marks a lower (or its own)
-			// index keeps the mark for the now+1 carryover — identical to
-			// the full-range scan.
+			if m.par != nil && m.par.jobs != nil {
+				m.predispatch()
+			}
 			for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
-				c := m.cpus[id]
 				s.unmark(id)
-				before := c.state
-				beforeBusy := c.busyUntil
-				m.steps++
-				m.step(c, m.now)
-				if c.state != before || c.busyUntil != beforeBusy {
-					progress = true
-				}
-				// Timed states are the only ones that wake by clock
-				// alone; every other blocked state is woken by an event
-				// hook.
-				switch c.state {
-				case stRun, stTTSBackoff:
-					s.wake(id, c.busyUntil)
-				}
+				m.sweepCPU(id, &progress)
 			}
 			if s.ndirty > 0 {
 				s.pushTime(m.now + 1)
@@ -478,7 +471,9 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 
 		// Phase C: arbitration, skipped when nobody can be granted (see
 		// runPolling). A successful grant schedules the bus-free wakeup
-		// through the bus Notify hook inside Occupy.
+		// through the bus Notify hook inside Occupy. Every advance
+		// dispatched this cycle has been joined by the end of the sweep,
+		// so snoops see settled lease state.
 		if m.occupiedBufs != 0 || m.mem.HasResponse() {
 			if granted, ok := m.bus.Arbitrate(m.now, ready); ok {
 				m.grant(granted)
@@ -1051,7 +1046,10 @@ func (m *Machine) result() *Result {
 		LockDetails:       m.locks.PerLock(),
 		LocksHeld:         m.locks.HeldLocks(),
 		DroppedWriteBacks: m.droppedWB,
-		Sched:             SchedStats{Iterations: m.iters, Steps: m.steps},
+		Sched: SchedStats{
+			Iterations: m.iters, Steps: m.steps,
+			LeasedSteps: m.leased, Rollbacks: m.rollbacks,
+		},
 	}
 	for _, b := range m.barriers {
 		res.BarrierEpisodes += b.episodes

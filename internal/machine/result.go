@@ -57,9 +57,10 @@ type Result struct {
 	BarrierEpisodes uint64
 
 	// Sched reports how much work the run loop itself did. It is
-	// simulator metadata, not a simulation outcome: the calendar and
-	// polling schedulers produce identical results above but different
-	// Sched numbers (that gap is the calendar's speedup).
+	// simulator metadata, not a simulation outcome: every scheduler
+	// produces identical results above but different Sched numbers (that
+	// gap is the calendar's speedup), and so does the calendar over a
+	// source that cannot rewind, which runs without leases.
 	Sched SchedStats
 }
 
@@ -71,6 +72,13 @@ type SchedStats struct {
 	// polling loop always makes Iterations×P of them; the calendar
 	// scheduler only steps dirty or due processors.
 	Steps uint64
+	// LeasedSteps is the part of Steps run ahead under a lease that
+	// committed; the rest were serial visits. Zero under the polling loop
+	// and over sources that cannot rewind.
+	LeasedSteps uint64
+	// Rollbacks counts leases a conflicting snoop rolled back and
+	// replayed.
+	Rollbacks uint64
 }
 
 // AvgUtilization returns the mean per-processor utilisation (the paper's

@@ -2,11 +2,12 @@ package machine
 
 import "math/bits"
 
-// This file implements the wakeup-calendar scheduler behind the machine's
-// default run loop. Instead of stepping every processor on every visited
-// cycle and re-deriving the next event with a full component scan (the
-// original polling loop, kept as SchedPolling for differential testing),
-// the calendar tracks exactly which components can act and when:
+// This file implements the wakeup calendar behind the machine's default run
+// loop, runCalendar (which also runs the lease discipline of parallel.go).
+// Instead of stepping every processor on every visited cycle and
+// re-deriving the next event with a full component scan (the original
+// polling loop, kept as SchedPolling for differential testing), the
+// calendar tracks exactly which components can act and when:
 //
 //   - a min-heap of candidate visited cycles (bus transaction completions,
 //     memory access completions, deferred same-component retries), fed by
@@ -118,8 +119,8 @@ func (h *cpuHeap) pop() cpuWakeup {
 	return top
 }
 
-// scheduler is the per-run wakeup calendar. It is created only when the
-// machine runs under SchedCalendar; under SchedPolling every hook is
+// scheduler is the per-run wakeup calendar. It is created under
+// SchedCalendar and SchedParallel; under SchedPolling every hook is
 // guarded by a nil check and the original loop is used unchanged.
 type scheduler struct {
 	times timeHeap
@@ -129,7 +130,8 @@ type scheduler struct {
 	dirty  cpuSet
 	ndirty int
 	// wakeAt dedups timed wakeups: re-stepping a running CPU must not
-	// push a second wakeup for the same busyUntil.
+	// push a second wakeup for the same busyUntil. noWake marks a CPU with
+	// no wakeup pending; a real one can be due at any cycle, 0 included.
 	wakeAt []uint64
 	// nearAt/near are the fast path for next-cycle wakeups, by far the most
 	// common kind (a hitting reference runs for one cycle; snoop and
@@ -142,12 +144,21 @@ type scheduler struct {
 	nearAny bool
 }
 
+// noWake is wakeAt's "nothing pending" sentinel: the last representable
+// cycle, which no run reaches. Zero cannot serve, since a zero-length burst
+// at cycle 0 is due at 0.
+const noWake = ^uint64(0)
+
 func newScheduler(ncpu int) *scheduler {
-	return &scheduler{
+	s := &scheduler{
 		dirty:  newCPUSet(ncpu),
 		near:   newCPUSet(ncpu),
 		wakeAt: make([]uint64, ncpu),
 	}
+	for id := range s.wakeAt {
+		s.wakeAt[id] = noWake
+	}
+	return s
 }
 
 // pushTime registers a future candidate visited cycle.
@@ -179,7 +190,7 @@ func (s *scheduler) startCycle(now uint64) {
 			for ; m != 0; m &= m - 1 {
 				id := w<<6 + bits.TrailingZeros64(m)
 				if s.wakeAt[id] == s.nearAt {
-					s.wakeAt[id] = 0
+					s.wakeAt[id] = noWake
 				}
 				s.mark(id)
 			}
@@ -212,7 +223,7 @@ func (s *scheduler) drainDue(now uint64) {
 	for len(s.wakes) > 0 && s.wakes[0].at <= now {
 		w := s.wakes.pop()
 		if s.wakeAt[w.id] == w.at {
-			s.wakeAt[w.id] = 0
+			s.wakeAt[w.id] = noWake
 		}
 		s.mark(w.id)
 	}

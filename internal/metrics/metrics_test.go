@@ -85,10 +85,13 @@ func TestSnapshot(t *testing.T) {
 
 func TestRunReportMerge(t *testing.T) {
 	a := RunReport{Generate: time.Second, Simulate: 2 * time.Second, Wall: 3 * time.Second,
-		Runs: 1, SimCycles: 4_000_000}
+		Runs: 1, SimCycles: 4_000_000, SchedSteps: 100, SchedLeasedSteps: 90, SchedRollbacks: 2}
 	b := RunReport{Simulate: time.Second, Wall: time.Second, Runs: 1, CacheHits: 1,
-		SimCycles: 2_000_000}
+		SimCycles: 2_000_000, SchedSteps: 100, SchedLeasedSteps: 60, SchedRollbacks: 1}
 	a.Add(b)
+	if a.SchedLeasedSteps != 150 || a.SchedRollbacks != 3 || a.LeasedShare() != 0.75 {
+		t.Errorf("merged leases = %d steps (share %v), %d rollbacks", a.SchedLeasedSteps, a.LeasedShare(), a.SchedRollbacks)
+	}
 	if a.Runs != 2 || a.CacheHits != 1 {
 		t.Errorf("merged runs/hits = %d/%d", a.Runs, a.CacheHits)
 	}
@@ -101,8 +104,8 @@ func TestRunReportMerge(t *testing.T) {
 	if s := a.String(); !strings.Contains(s, "2 run(s)") || !strings.Contains(s, "1 cache hit(s)") {
 		t.Errorf("report string = %q", s)
 	}
-	if (RunReport{}).Throughput() != 0 {
-		t.Error("empty report throughput should be 0")
+	if (RunReport{}).Throughput() != 0 || (RunReport{}).LeasedShare() != 0 {
+		t.Error("empty report throughput and leased share should be 0")
 	}
 }
 

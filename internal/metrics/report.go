@@ -31,6 +31,10 @@ type RunReport struct {
 	// They measure the simulator, not the simulated machine — the wakeup
 	// calendar visits far fewer cycles than SimCycles on sparse traces.
 	SchedIters, SchedSteps uint64
+	// SchedLeasedSteps counts the steps that ran ahead under a committed
+	// lease, and SchedRollbacks the leases a conflicting snoop rolled back:
+	// together they show whether speculation pays on a run's traffic mix.
+	SchedLeasedSteps, SchedRollbacks uint64
 }
 
 // Add merges another report into r.
@@ -44,6 +48,8 @@ func (r *RunReport) Add(o RunReport) {
 	r.SimCycles += o.SimCycles
 	r.SchedIters += o.SchedIters
 	r.SchedSteps += o.SchedSteps
+	r.SchedLeasedSteps += o.SchedLeasedSteps
+	r.SchedRollbacks += o.SchedRollbacks
 }
 
 // Throughput returns simulated cycles per second of simulator wall time,
@@ -64,6 +70,15 @@ func (r RunReport) SchedEfficiency() float64 {
 		return 0
 	}
 	return float64(r.SimCycles) / float64(r.SchedIters)
+}
+
+// LeasedShare returns the fraction of scheduler steps that ran under a
+// lease, or zero when nothing was stepped.
+func (r RunReport) LeasedShare() float64 {
+	if r.SchedSteps == 0 {
+		return 0
+	}
+	return float64(r.SchedLeasedSteps) / float64(r.SchedSteps)
 }
 
 // String renders the report as one compact line.

@@ -30,10 +30,11 @@ var ErrStreamAborted = errors.New("trace: stream aborted by consumer")
 // O(budget + cross-CPU skew); MaxBuffered reports the observed peak.
 //
 // The per-CPU sources implement ONLY Source — no Marker, Rewinder, Cloner
-// or Len. A streamed trace cannot be rewound or cloned, so the machine's
-// speculative parallel scheduler detects the missing Marker and falls back
-// to the serial calendar (pinned by TestParallelStreamingFallback), and
-// engine.TraceCache refuses to cache it (CacheStats.Bypassed).
+// or Len. A streamed trace cannot be rewound or cloned, so the machine
+// detects the missing Marker and its calendar steps every processor
+// serially, without speculative leases (pinned by
+// TestParallelStreamingFallback), and engine.TraceCache refuses to cache it
+// (CacheStats.Bypassed).
 type RingSet struct {
 	name   string
 	budget int
