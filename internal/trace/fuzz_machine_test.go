@@ -19,8 +19,25 @@ const (
 	fuzzMaxWork   = 100_000 // total Exec cycles across all CPUs
 )
 
+// runnable is the fuzzers' well-formedness gate: trace.Validate's rules,
+// except that a zero-length burst (Exec(0)) is allowed. trace.DecodeSet
+// accepts it on the run path, and every scheduler must round it up to one
+// cycle, as the polling loop does.
+func runnable(cpus [][]trace.Event) bool {
+	probe := make([][]trace.Event, len(cpus))
+	for i, evs := range cpus {
+		probe[i] = append([]trace.Event(nil), evs...)
+		for j, ev := range probe[i] {
+			if ev.Kind == trace.KindExec && ev.Arg == 0 {
+				probe[i][j].Arg = 1
+			}
+		}
+	}
+	return trace.Validate(probe) == nil
+}
+
 // FuzzMachine drives the full machine — with the invariant checker enabled —
-// on arbitrary decoded traces. The decoder and validator act as the
+// on arbitrary decoded traces. The decoder and runnable act as the
 // well-formedness gate; anything that passes them must simulate without a
 // panic and, above all, without tripping a coherence, conservation, or lock
 // invariant. Resource-limit errors (MaxCycles, progress window) are fine;
@@ -43,6 +60,10 @@ func FuzzMachine(f *testing.F) {
 		{trace.Read(0x1000), trace.Write(0x2000), trace.ReadAfter(0x1000, 4), trace.End()},
 	})
 	add("solo", [][]trace.Event{{trace.Exec(1), trace.End()}})
+	add("zero burst", [][]trace.Event{
+		{trace.Exec(3), trace.Barrier(0), trace.Exec(0), trace.Exec(5), trace.End()},
+		{trace.Barrier(0), trace.Exec(0), trace.Read(0x1000), trace.End()},
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, cpus, err := trace.Decode(bytes.NewReader(data))
@@ -64,7 +85,7 @@ func FuzzMachine(f *testing.F) {
 		if events > fuzzMaxEvents || work > fuzzMaxWork {
 			return
 		}
-		if trace.Validate(cpus) != nil {
+		if !runnable(cpus) {
 			return
 		}
 

@@ -27,6 +27,9 @@ func (e *ValidationError) Error() string {
 //     uneven join counts deadlock);
 //   - a lock id is always associated with the same lock-word address.
 //
+// An End event ends its CPU's trace: every Source stops there, so the
+// events stored after it are never consumed and are not checked.
+//
 // It drains the provided event slices (not Sources) so callers can keep the
 // data. It returns all violations found, joined, or nil.
 func Validate(cpus [][]Event) error {
@@ -36,6 +39,9 @@ func Validate(cpus [][]Event) error {
 	for cpu, events := range cpus {
 		held := map[uint32]int{} // lock id → hold depth (should stay ≤1)
 		for i, ev := range events {
+			if ev.Kind == KindEnd {
+				break
+			}
 			switch {
 			case !ev.Kind.Valid():
 				errs = append(errs, &ValidationError{cpu, i, fmt.Sprintf("invalid kind %d", ev.Kind)})

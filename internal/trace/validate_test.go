@@ -56,6 +56,16 @@ func TestValidateRejections(t *testing.T) {
 			"still held",
 		},
 		{
+			"lock held at end event",
+			[][]Event{{Lock(0, 0x40), End(), Unlock(0, 0x40)}},
+			"still held",
+		},
+		{
+			"barrier joined after end event",
+			[][]Event{{End(), Barrier(0)}, {Barrier(0)}},
+			"deadlock",
+		},
+		{
 			"lock address drift",
 			[][]Event{{Lock(0, 0x40), Unlock(0, 0x40), Lock(0, 0x44), Unlock(0, 0x44)}},
 			"address changed",
