@@ -8,7 +8,7 @@
 //	syncsim -trace prog.trc [-lock tts] [-cons wo]
 //	syncsim -bench Pdsa -metrics   # per-phase wall time and throughput
 //	syncsim -bench Qsort -check    # run with the invariant checker enabled
-//	syncsim -bench Qsort -scale 1 -stream -membudget 64   # O(ring) memory
+//	syncsim -bench Grav -scale 1 -stream -membudget 56   # O(ring) memory
 //	syncsim -arch      # print the modelled architecture (the paper's Figure 1)
 //
 // With -stream the trace is not materialised: generation runs concurrently

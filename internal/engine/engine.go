@@ -130,15 +130,17 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.S
 	start := time.Now()
 	reg := metrics.New()
 	var (
-		hits     = reg.Counter("trace_cache_hits")
-		misses   = reg.Counter("trace_cache_misses")
-		busy     = reg.Counter("worker_busy_ns")
-		cycles   = reg.Counter("sim_cycles")
-		iters    = reg.Counter("sched_iterations")
-		steps    = reg.Counter("sched_steps")
-		generate = reg.Timer("phase_generate")
-		analyze  = reg.Timer("phase_analyze")
-		simulate = reg.Timer("phase_simulate")
+		hits      = reg.Counter("trace_cache_hits")
+		misses    = reg.Counter("trace_cache_misses")
+		busy      = reg.Counter("worker_busy_ns")
+		cycles    = reg.Counter("sim_cycles")
+		iters     = reg.Counter("sched_iterations")
+		steps     = reg.Counter("sched_steps")
+		leased    = reg.Counter("sched_leased_steps")
+		rollbacks = reg.Counter("sched_rollbacks")
+		generate  = reg.Timer("phase_generate")
+		analyze   = reg.Timer("phase_analyze")
+		simulate  = reg.Timer("phase_simulate")
 	)
 
 	workers := e.workers
@@ -176,7 +178,7 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.S
 				t0 := time.Now()
 				res, err := e.runTaskSafe(runCtx, &tasks[i], taskMetrics{
 					hits: hits, misses: misses, cycles: cycles,
-					iters: iters, steps: steps,
+					iters: iters, steps: steps, leased: leased, rollbacks: rollbacks,
 					generate: generate, analyze: analyze, simulate: simulate,
 				})
 				busy.Add(int64(time.Since(t0)))
@@ -212,6 +214,9 @@ feeding:
 		SimCycles:   uint64(cycles.Value()),
 		SchedIters:  uint64(iters.Value()),
 		SchedSteps:  uint64(steps.Value()),
+
+		SchedLeasedSteps: uint64(leased.Value()),
+		SchedRollbacks:   uint64(rollbacks.Value()),
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, report, err
@@ -226,7 +231,16 @@ feeding:
 type taskMetrics struct {
 	hits, misses, cycles        *metrics.Counter
 	iters, steps                *metrics.Counter
+	leased, rollbacks           *metrics.Counter
 	generate, analyze, simulate *metrics.Timer
+}
+
+// addSched folds one run's scheduler counters into the suite totals.
+func (tm taskMetrics) addSched(s machine.SchedStats) {
+	tm.iters.Add(int64(s.Iterations))
+	tm.steps.Add(int64(s.Steps))
+	tm.leased.Add(int64(s.LeasedSteps))
+	tm.rollbacks.Add(int64(s.Rollbacks))
 }
 
 // runTaskSafe is runTask behind a panic barrier: a panic anywhere in task
@@ -282,8 +296,7 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 		simWall = time.Since(simStart)
 		tm.simulate.Observe(simWall)
 		tm.cycles.Add(int64(res.RunTime))
-		tm.iters.Add(int64(res.Sched.Iterations))
-		tm.steps.Add(int64(res.Sched.Steps))
+		tm.addSched(res.Sched)
 		out.Result = res
 	}
 	if t.Metrics {
@@ -336,8 +349,7 @@ func (e *Engine) runStreamTask(ctx context.Context, t *Task, tm taskMetrics) (Ta
 	simWall := time.Since(wallStart)
 	tm.simulate.Observe(simWall)
 	tm.cycles.Add(int64(res.RunTime))
-	tm.iters.Add(int64(res.Sched.Iterations))
-	tm.steps.Add(int64(res.Sched.Steps))
+	tm.addSched(res.Sched)
 	out := TaskResult{Result: res}
 	if t.Metrics {
 		out.Report = metrics.RunReport{

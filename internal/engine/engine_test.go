@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"syncsim/internal/machine"
+	"syncsim/internal/metrics"
 	"syncsim/internal/trace"
 	"syncsim/internal/workload"
 )
@@ -122,6 +123,28 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	}
 	if hits != 2 {
 		t.Errorf("per-task cache hits sum = %d, want 2", hits)
+	}
+}
+
+// The suite report's scheduler counters are the sums of its tasks' run
+// reports, leases included.
+func TestSuiteReportSumsSchedCounters(t *testing.T) {
+	p := &fakeProgram{name: "Fake", ncpu: 4, pairs: 200}
+	results, rep, err := New(Config{Workers: 2}).Run(context.Background(), simTasks(p, "a", "b", "c", "d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum metrics.RunReport
+	for _, r := range results {
+		sum.Add(r.Report)
+	}
+	got := [4]uint64{rep.SchedIters, rep.SchedSteps, rep.SchedLeasedSteps, rep.SchedRollbacks}
+	want := [4]uint64{sum.SchedIters, sum.SchedSteps, sum.SchedLeasedSteps, sum.SchedRollbacks}
+	if got != want {
+		t.Errorf("suite iters/steps/leased/rollbacks = %v, tasks sum to %v", got, want)
+	}
+	if rep.SchedLeasedSteps == 0 {
+		t.Error("no leased steps on a replayable trace")
 	}
 }
 

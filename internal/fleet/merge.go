@@ -76,6 +76,8 @@ func MergeSweep(plan server.SweepPlan, results []cellResult) (*api.SweepPayload,
 		suiteRep.SimCycles += r.payload.Report.SimCycles
 		suiteRep.SchedIters += r.payload.Report.SchedIters
 		suiteRep.SchedSteps += r.payload.Report.SchedSteps
+		suiteRep.SchedLeasedSteps += r.payload.Report.SchedLeasedSteps
+		suiteRep.SchedRollbacks += r.payload.Report.SchedRollbacks
 	}
 	p.Report = suiteRep
 	return p, nil

@@ -114,6 +114,7 @@ func TestSuiteReport(t *testing.T) {
 		Wall: 2 * time.Second, Workers: 4, Tasks: 8,
 		CacheHits: 6, CacheMisses: 2,
 		Busy: 4 * time.Second, SimCycles: 10_000_000,
+		SchedIters: 1000, SchedSteps: 2000, SchedLeasedSteps: 1500, SchedRollbacks: 7,
 	}
 	if got := r.CacheHitRate(); got != 0.75 {
 		t.Errorf("hit rate = %v, want 0.75", got)
@@ -125,7 +126,8 @@ func TestSuiteReport(t *testing.T) {
 		t.Errorf("throughput = %v, want 5e6", got)
 	}
 	s := r.String()
-	for _, want := range []string{"8 task(s)", "4 worker(s)", "75.0% hit rate", "trace cache"} {
+	for _, want := range []string{"8 task(s)", "4 worker(s)", "75.0% hit rate", "trace cache",
+		"1.50k leased steps (75.0% of steps), 7 rollbacks"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("suite report string missing %q:\n%s", want, s)
 		}

@@ -110,9 +110,10 @@ type SuiteReport struct {
 	Busy time.Duration
 	// SimCycles is the total number of simulated machine cycles.
 	SimCycles uint64
-	// SchedIters and SchedSteps sum the simulator run loops' own work
-	// across all tasks (see RunReport).
-	SchedIters, SchedSteps uint64
+	// SchedIters, SchedSteps, SchedLeasedSteps and SchedRollbacks sum
+	// the simulator run loops' own work across all tasks (see RunReport).
+	SchedIters, SchedSteps           uint64
+	SchedLeasedSteps, SchedRollbacks uint64
 }
 
 // CacheHitRate returns the fraction of trace-cache lookups that hit,
@@ -158,6 +159,11 @@ func (r SuiteReport) String() string {
 		fmt.Fprintf(&b, "\nscheduler: %s iterations, %s steps (%.1f cycles/iteration)",
 			siCount(float64(r.SchedIters)), siCount(float64(r.SchedSteps)),
 			float64(r.SimCycles)/float64(r.SchedIters))
+	}
+	if r.SchedSteps > 0 {
+		fmt.Fprintf(&b, "\nleases: %s leased steps (%.1f%% of steps), %d rollbacks",
+			siCount(float64(r.SchedLeasedSteps)),
+			100*float64(r.SchedLeasedSteps)/float64(r.SchedSteps), r.SchedRollbacks)
 	}
 	return b.String()
 }

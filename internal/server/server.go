@@ -166,6 +166,9 @@ type Server struct {
 	genTime   *metrics.Timer
 	simTime   *metrics.Timer
 
+	schedLeased    *metrics.Counter // scheduler steps run under a lease
+	schedRollbacks *metrics.Counter // leases rolled back by a snoop
+
 	predAnalytic *metrics.Counter // /v1/predict answered by the fitted model
 	predFallback *metrics.Counter // /v1/predict fell through to simulation
 
@@ -220,6 +223,8 @@ func New(cfg Config) *Server {
 	s.throttled = s.reg.Counter("jobs_throttled")
 	s.simCycles = s.reg.Counter("sim_cycles_total")
 	s.schedIt = s.reg.Counter("sched_iterations_total")
+	s.schedLeased = s.reg.Counter("sched_leased_steps_total")
+	s.schedRollbacks = s.reg.Counter("sched_rollbacks_total")
 	s.genTime = s.reg.Timer("phase_generate")
 	s.simTime = s.reg.Timer("phase_simulate")
 	s.predAnalytic = s.reg.Counter("predict_analytic")
@@ -709,6 +714,8 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload,
 func (s *Server) recordSuite(rep metrics.SuiteReport) {
 	s.simCycles.Add(int64(rep.SimCycles))
 	s.schedIt.Add(int64(rep.SchedIters))
+	s.schedLeased.Add(int64(rep.SchedLeasedSteps))
+	s.schedRollbacks.Add(int64(rep.SchedRollbacks))
 	if rep.Generate > 0 {
 		s.genTime.Observe(rep.Generate)
 	}

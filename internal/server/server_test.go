@@ -456,6 +456,34 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// One real /v1/sim run reaches the scheduler counters of /metrics: the
+// engine's suite report carries leased steps next to the iterations.
+func TestMetricsSchedCounters(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	postSim(t, ts, `{"bench":"Qsort","scale":0.01}`)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct{ Counters map[string]int64 }
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sched_iterations_total", "sched_leased_steps_total"} {
+		if doc.Counters[name] <= 0 {
+			t.Errorf("%s = %d after one run, want > 0", name, doc.Counters[name])
+		}
+	}
+	if _, ok := doc.Counters["sched_rollbacks_total"]; !ok {
+		t.Error("sched_rollbacks_total missing")
+	}
+}
+
 // TestMetricsEndpoint checks the service counters end to end.
 func TestMetricsEndpoint(t *testing.T) {
 	s, _, gate := gatedServer(Config{Workers: 2, ResultCacheSize: 8})

@@ -6,18 +6,34 @@ import (
 )
 
 // Compact is an append-only, varint-encoded in-memory trace for one
-// processor. Large generated traces (millions of events) stay at a few
-// bytes per event instead of the 12 bytes of the Event struct, which makes
-// paper-scale workloads (multi-million references per CPU) practical to
-// hold in memory.
+// processor. Generated traces (millions of events per CPU) take 2.2-3.0
+// bytes per event instead of the 12 bytes of the Event struct, which is
+// what lets the trace caches hold paper-scale workloads.
+//
+// Each record starts with a header byte: the kind in the low 3 bits and
+// the argument in the high 5 bits. Arguments of 0-30 — nearly every
+// reference's pre-cycle count — fit there; the value 31 escapes to a
+// uvarint argument after the header. Addressed kinds then carry a zigzag
+// varint address delta against one of two predictors: instruction
+// fetches against the last fetch address, every other addressed kind
+// against the last data address, so the fetches' short strides are not
+// broken up by the data references they interleave with. Exec, Barrier
+// and End records carry no address.
+//
+// This is the resident format only: the on-disk container (Encode,
+// Decode) has its own encoding.
 //
 // Append events with Add, then create any number of independent replay
 // cursors with NewSource.
 type Compact struct {
-	buf      []byte
-	n        int
-	prevAddr uint32
+	buf        []byte
+	n          int
+	code, data uint32 // address predictors of the last Add
 }
+
+// argEscape is the header argument value that defers the argument to a
+// uvarint after the header byte.
+const argEscape = 31
 
 // Len returns the number of events stored.
 func (c *Compact) Len() int { return c.n }
@@ -25,25 +41,34 @@ func (c *Compact) Len() int { return c.n }
 // Bytes returns the encoded size in bytes, for diagnostics.
 func (c *Compact) Bytes() int { return len(c.buf) }
 
+// Trim returns a copy of c whose buffer has exactly the encoded size. A
+// generator hands finished traces out this way, so a long-lived cache holds
+// neither the append slack nor the generator that owned c.
+func (c *Compact) Trim() *Compact {
+	t := *c
+	t.buf = append([]byte(nil), c.buf...)
+	return &t
+}
+
 // Add appends an event. It panics on invalid event kinds; generators are
 // trusted code.
 func (c *Compact) Add(ev Event) {
 	if !ev.Kind.Valid() {
 		panic(fmt.Sprintf("trace: Compact.Add of invalid kind %d", ev.Kind))
 	}
-	c.buf = append(c.buf, byte(ev.Kind))
+	if ev.Arg < argEscape {
+		c.buf = append(c.buf, byte(ev.Kind)|byte(ev.Arg)<<3)
+	} else {
+		c.buf = append(c.buf, byte(ev.Kind)|argEscape<<3)
+		c.buf = binary.AppendUvarint(c.buf, uint64(ev.Arg))
+	}
 	switch ev.Kind {
-	case KindExec, KindBarrier:
-		c.buf = binary.AppendUvarint(c.buf, uint64(ev.Arg))
-	case KindIFetch, KindRead, KindWrite:
-		c.buf = binary.AppendUvarint(c.buf, uint64(ev.Arg))
-		c.buf = binary.AppendVarint(c.buf, int64(int32(ev.Addr-c.prevAddr)))
-		c.prevAddr = ev.Addr
-	case KindLock, KindUnlock:
-		c.buf = binary.AppendUvarint(c.buf, uint64(ev.Arg))
-		c.buf = binary.AppendVarint(c.buf, int64(int32(ev.Addr-c.prevAddr)))
-		c.prevAddr = ev.Addr
-	case KindEnd:
+	case KindIFetch:
+		c.buf = binary.AppendVarint(c.buf, int64(int32(ev.Addr-c.code)))
+		c.code = ev.Addr
+	case KindRead, KindWrite, KindLock, KindUnlock:
+		c.buf = binary.AppendVarint(c.buf, int64(int32(ev.Addr-c.data)))
+		c.data = ev.Addr
 	}
 	c.n++
 }
@@ -55,17 +80,16 @@ func (c *Compact) NewSource() *CompactSource {
 	return &CompactSource{c: c}
 }
 
-// CompactSource replays a Compact trace as a Source.
+// CompactSource replays a Compact trace as a Source. Like Buffer, it
+// yields a stored End and then reports the trace exhausted.
 type CompactSource struct {
-	c        *Compact
-	pos      int
-	read     int
-	prevAddr uint32
+	c          *Compact
+	pos        int
+	code, data uint32
 }
 
-// uvarint decodes the unsigned varint at the cursor. Generated traces are
-// dominated by single-byte values (small exec bursts, short address
-// deltas), so the one-byte case is decoded inline and only the rare
+// uvarint decodes the unsigned varint at the cursor. Address deltas are
+// mostly single bytes, so that case is decoded inline and only the
 // multi-byte tail pays for binary.Uvarint's loop.
 func (s *CompactSource) uvarint() uint64 {
 	if b := s.c.buf[s.pos]; b < 0x80 {
@@ -77,34 +101,33 @@ func (s *CompactSource) uvarint() uint64 {
 	return v
 }
 
-// varint decodes the zigzag-encoded signed varint at the cursor.
-func (s *CompactSource) varint() int64 {
+// delta decodes the zigzag-encoded address delta at the cursor.
+func (s *CompactSource) delta() uint32 {
 	ux := s.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x
+	return uint32(ux>>1) ^ -uint32(ux&1)
 }
 
 // Next implements Source.
 func (s *CompactSource) Next() (Event, bool) {
-	if s.read >= s.c.n {
+	if s.pos >= len(s.c.buf) {
 		return Event{}, false
 	}
-	kind := Kind(s.c.buf[s.pos])
+	h := s.c.buf[s.pos]
 	s.pos++
-	ev := Event{Kind: kind}
-	switch kind {
-	case KindExec, KindBarrier:
+	ev := Event{Kind: Kind(h & 7), Arg: uint32(h >> 3)}
+	if ev.Arg == argEscape {
 		ev.Arg = uint32(s.uvarint())
-	case KindIFetch, KindRead, KindWrite, KindLock, KindUnlock:
-		ev.Arg = uint32(s.uvarint())
-		s.prevAddr += uint32(int32(s.varint()))
-		ev.Addr = s.prevAddr
-	case KindEnd:
 	}
-	s.read++
+	switch ev.Kind {
+	case KindIFetch:
+		s.code += s.delta()
+		ev.Addr = s.code
+	case KindRead, KindWrite, KindLock, KindUnlock:
+		s.data += s.delta()
+		ev.Addr = s.data
+	case KindEnd:
+		s.pos = len(s.c.buf)
+	}
 	return ev, true
 }
 
@@ -118,22 +141,19 @@ func (s *CompactSource) Len() int { return s.c.n }
 // Rewind repositions the cursor at the first event.
 func (s *CompactSource) Rewind() {
 	s.pos = 0
-	s.read = 0
-	s.prevAddr = 0
+	s.code, s.data = 0, 0
 }
 
-// Mark implements Marker. The snapshot carries the byte offset, the event
-// count, and the address-delta decoder state, so Seek restores the cursor
-// bit-exactly mid-stream.
+// Mark implements Marker. The snapshot carries the byte offset and both
+// address predictors, so Seek restores the cursor bit-exactly mid-stream.
 func (s *CompactSource) Mark() Mark {
-	return Mark{Pos: s.pos, Read: s.read, PrevAddr: s.prevAddr}
+	return Mark{Pos: s.pos, Code: s.code, Data: s.data}
 }
 
 // Seek implements Marker.
 func (s *CompactSource) Seek(m Mark) {
 	s.pos = m.Pos
-	s.read = m.Read
-	s.prevAddr = m.PrevAddr
+	s.code, s.data = m.Code, m.Data
 }
 
 // CompactSet builds a trace Set whose sources replay the given compact

@@ -183,12 +183,11 @@ type Rewinder interface {
 
 // Mark is a saved replay position captured by Marker.Mark. It is a value
 // snapshot of the cursor, not a reference: holding a Mark costs nothing and
-// Seek restores the exact decode state, including the delta-decoder context
-// of compact traces.
+// Seek restores the exact decode state, including the two address
+// predictors (Code, Data) of compact traces.
 type Mark struct {
-	Pos      int
-	Read     int
-	PrevAddr uint32
+	Pos        int
+	Code, Data uint32
 	// Rem is used by wrappers that meter the stream (Limit): the budget
 	// remaining at the time of the mark. Unwrapped sources ignore it.
 	Rem int
@@ -276,8 +275,8 @@ func (t *Tee) Next() (Event, bool) {
 
 // TeeCompact wraps a Source and appends every event it yields to a Compact
 // trace: the memory-efficient capture for multi-million-event streams
-// (a few bytes per event instead of Buffer's 12). Like Tee it implements
-// no replay capabilities.
+// (2-3 bytes per generated event instead of Buffer's 12). Like Tee it
+// implements no replay capabilities.
 type TeeCompact struct {
 	Src Source
 	Out *Compact

@@ -211,3 +211,39 @@ func TestInvalidParamsRejected(t *testing.T) {
 		}
 	}
 }
+
+// maxBytesPerEvent pins each benchmark's resident trace density. The
+// measured densities (scale 0.01 and 0.2, several seeds; they move by
+// under 0.01) are Grav 2.20, Pdsa 2.39, FullConn 2.59, Pverify 2.65,
+// Qsort 2.95 and Topopt 2.71 B/event; each bound adds a 5% margin.
+var maxBytesPerEvent = map[string]float64{
+	"Grav": 2.31, "Pdsa": 2.51, "FullConn": 2.72,
+	"Pverify": 2.78, "Qsort": 3.10, "Topopt": 2.85,
+}
+
+// TestCompactDensity re-encodes every generated CPU trace into a Compact
+// (the encoding depends only on the events, so the sizes are those of the
+// generated set) and checks each benchmark's bytes per event.
+func TestCompactDensity(t *testing.T) {
+	for _, b := range All() {
+		name := b.Program.Name()
+		set, err := b.Program.Generate(workload.Params{Scale: 0.01, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bytes, events int
+		for _, src := range set.Sources {
+			var c trace.Compact
+			for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+				c.Add(ev)
+			}
+			bytes += c.Bytes()
+			events += c.Len()
+		}
+		density := float64(bytes) / float64(events)
+		t.Logf("%s: %d events, %.3f B/event", name, events, density)
+		if density > maxBytesPerEvent[name] {
+			t.Errorf("%s: %.3f B/event, bound %.2f", name, density, maxBytesPerEvent[name])
+		}
+	}
+}

@@ -261,6 +261,10 @@ func (c *Coordinator) MaxVT() uint64 {
 // Set assembles the final trace set, checking that every generator
 // released all its locks (a leaked lock would deadlock the machine).
 //
+// Each CPU's trace is handed out as its own exact-size copy, so a cached
+// set keeps neither the generators (and their random sources) nor the
+// append slack of their buffers alive.
+//
 // For a streaming coordinator the events already went into the ring; the
 // returned set is the ring's consumer side, and the final partial chunks
 // are flushed here. The driver — not the benchmark — closes the ring.
@@ -276,7 +280,7 @@ func (c *Coordinator) Set(name string) (*trace.Set, error) {
 	}
 	cpus := make([]*trace.Compact, len(c.Gens))
 	for i, g := range c.Gens {
-		cpus[i] = &g.tr
+		cpus[i] = g.tr.Trim()
 	}
 	return trace.CompactSet(name, cpus), nil
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"syncsim/internal/trace"
 	"syncsim/internal/workload/addr"
@@ -202,5 +205,44 @@ func TestFuncWindowWraps(t *testing.T) {
 		if ev.Addr < addr.Func(2) || ev.Addr >= addr.Func(3) {
 			t.Fatalf("pc %#x escaped function window 2", ev.Addr)
 		}
+	}
+}
+
+// generatedSet generates a small two-CPU set and reports on freed when
+// each generator's random source is collected.
+func generatedSet(t *testing.T) (*trace.Set, chan int) {
+	t.Helper()
+	coord := NewCoordinator(2, 1)
+	freed := make(chan int, len(coord.Gens))
+	for i, g := range coord.Gens {
+		g.Instr(1000)
+		g.Load(0x1000)
+		i := i
+		runtime.SetFinalizer(g.Rand(), func(*rand.Rand) { freed <- i })
+	}
+	set, err := coord.Set("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, freed
+}
+
+// A generated set holds its traces, not the generators that wrote them:
+// with the set still referenced, every generator's random source is
+// collected.
+func TestSetDoesNotPinGenerators(t *testing.T) {
+	set, freed := generatedSet(t)
+	timeout := time.After(10 * time.Second)
+	for n := 0; n < set.NCPU(); {
+		runtime.GC()
+		select {
+		case <-freed:
+			n++
+		case <-timeout:
+			t.Fatalf("%d of %d generators still reachable from their set", set.NCPU()-n, set.NCPU())
+		}
+	}
+	if n, _ := set.Events(); n != 2*1001 || len(trace.Drain(set.Sources[1])) != 1001 {
+		t.Fatalf("set lost events: %d stored", n)
 	}
 }
