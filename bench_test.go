@@ -411,8 +411,8 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineRunParallel is BenchmarkMachineRun under the speculative
-// parallel scheduler with four workers — the configuration BENCH_pr7.json
+// BenchmarkMachineRunParallel is BenchmarkMachineRun with the calendar's
+// speculation handed to four workers — the configuration BENCH_pr7.json
 // records and the CI regression gate watches. On a single-CPU host the
 // worker count clamps to GOMAXPROCS and the speculation runs inline; the
 // speedup over BenchmarkMachineRun is then purely algorithmic (leased
@@ -425,7 +425,6 @@ func BenchmarkMachineRun(b *testing.B) {
 func BenchmarkMachineRunParallel(b *testing.B) {
 	run := func(b *testing.B, name string, p workload.Params, model core.Model) {
 		cfg := model.MachineConfig(machine.DefaultConfig())
-		cfg.Sched = machine.SchedParallel
 		cfg.Workers = 4
 		var cycles uint64
 		for i := 0; i < b.N; i++ {

@@ -42,8 +42,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	seed := flag.Int64("seed", 1, "generation seed")
 	workers := flag.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-	sched := flag.String("sched", "calendar", "per-run scheduler: calendar, polling, or parallel")
-	runWorkers := flag.Int("workers", 0, "per-run worker goroutines for -sched parallel")
+	runWorkers := flag.Int("workers", 0, "per-run helper goroutines for the speculative run-ahead (0/1 = inline)")
 	showMetrics := flag.Bool("metrics", false, "append the engine report as CSV comments")
 	flag.Parse()
 
@@ -63,14 +62,6 @@ func main() {
 	}
 	if *cons == "wo" {
 		baseCfg.Consistency = machine.WeakOrdering
-	}
-	if kind, err := machine.ParseSched(*sched); err != nil {
-		fatal(err)
-	} else {
-		baseCfg.Sched = kind
-	}
-	if *runWorkers != 0 && baseCfg.Sched != machine.SchedParallel {
-		fatal(fmt.Errorf("-workers only applies to -sched parallel"))
 	}
 	baseCfg.Workers = *runWorkers
 

@@ -15,10 +15,9 @@
 // with simulation through a bounded ring, so memory stays O(ring budget)
 // instead of O(trace). Streaming skips the ideal-trace analysis (the events
 // are consumed as they are produced and cannot be rewound), and the
-// calendar and parallel schedulers then step every processor serially, with
-// no speculative run-ahead. -membudget N makes the run fail if peak sampled
-// heap use ever exceeds N MiB — CI uses it to pin the bounded-memory
-// property.
+// calendar then steps every processor serially, with no speculative
+// run-ahead. -membudget N makes the run fail if peak sampled heap use ever
+// exceeds N MiB — CI uses it to pin the bounded-memory property.
 //
 // Interrupting a run (Ctrl-C) cancels the simulation promptly.
 package main
@@ -134,8 +133,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	showMetrics := fs.Bool("metrics", false, "print the per-phase run report (generate/analyze/simulate wall time, throughput)")
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
-	sched := fs.String("sched", "calendar", "simulation scheduler: calendar (event-driven with speculative run-ahead), polling (step every CPU every cycle), or parallel (calendar plus -workers helper goroutines); all bit-identical")
-	schedWorkers := fs.Int("workers", 0, "worker goroutines for the parallel scheduler (0/1 = inline speculation)")
+	schedWorkers := fs.Int("workers", 0, "helper goroutines for the speculative run-ahead (0/1 = inline); results are bit-identical for every value")
 	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis and speculative leases)")
 	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
@@ -172,14 +170,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cfg.Consistency = machine.WeakOrdering
 	default:
 		return fmt.Errorf("unknown consistency model %q (want sc or wo)", *cons)
-	}
-	kind, err := machine.ParseSched(*sched)
-	if err != nil {
-		return fmt.Errorf("unknown scheduler %q (want calendar, polling, parallel)", *sched)
-	}
-	cfg.Sched = kind
-	if *schedWorkers != 0 && kind != machine.SchedParallel {
-		return fmt.Errorf("-workers only applies to -sched parallel")
 	}
 	cfg.Workers = *schedWorkers
 

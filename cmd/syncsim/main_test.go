@@ -87,7 +87,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{}, // no -bench/-trace/-arch
 		{"-bench", "Grav", "-lock", "bogus"},
 		{"-bench", "Grav", "-cons", "bogus"},
-		{"-bench", "Grav", "-sched", "bogus"},
+		{"-bench", "Grav", "-sched", "polling"}, // no CLI selects the reference loop
 		{"-trace", filepath.Join(t.TempDir(), "missing.trc")},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {

@@ -19,7 +19,7 @@
 //	syncsimfleet -backends http://n1:8080,http://n2:8080,http://n3:8080
 //	             [-addr :8090] [-replicas 128] [-store DIR]
 //	             [-health-interval 5s] [-cell-timeout 2m]
-//	             [-result-cache 64] [-cell-concurrency 0]
+//	             [-cell-concurrency 0]
 //	             [-attempts 5] [-circuit-threshold 3] [-circuit-cooldown 5s]
 //	             [-hedge-after 500ms] [-hedge-min 25ms]
 //	             [-drain-timeout 30s] [-quota tenant=rps:burst]...
@@ -90,7 +90,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	storeDir := fs.String("store", "", "shared L2 result-store directory (mount the same one on the backends via syncsimd -store)")
 	healthInterval := fs.Duration("health-interval", 5*time.Second, "backend /healthz probe period")
 	cellTimeout := fs.Duration("cell-timeout", 2*time.Minute, "per-cell timeout on one backend, retries included")
-	resultCache := fs.Int("result-cache", 64, "merged-sweep L1 entries (negative disables)")
 	cellConcurrency := fs.Int("cell-concurrency", 0, "cells in flight per sweep (0 = 2 × backends)")
 	attempts := fs.Int("attempts", 0, "HTTP attempts per backend call before failing over (0 = client default)")
 	circuitThreshold := fs.Int("circuit-threshold", 0, "consecutive failures that open a backend's circuit (0 = default)")
@@ -132,7 +131,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		HedgeMin:        *hedgeMin,
 		DrainTimeout:    *drainTimeout,
 		Quotas:          quotas,
-		ResultCacheSize: *resultCache,
 		CellConcurrency: *cellConcurrency,
 		Pool: client.PoolConfig{
 			Client:           client.Config{MaxAttempts: *attempts},

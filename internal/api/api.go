@@ -35,13 +35,13 @@ type SimRequest struct {
 	Lock string `json:"lock,omitempty"`
 	// Cons is the consistency model: sc (default) or wo.
 	Cons string `json:"cons,omitempty"`
-	// Sched is the simulation-loop scheduler: calendar (default), polling,
-	// or parallel. All schedulers produce bit-identical results; GET
-	// /v1/capabilities lists the valid names.
+	// Sched is the simulation-loop scheduler. The only one is calendar,
+	// the default; "parallel", its former name for a run with workers, is
+	// accepted as an alias. Responses echo "calendar".
 	Sched string `json:"sched,omitempty"`
-	// Workers bounds the helper goroutines of the parallel scheduler
-	// (0 = inline speculation). Only valid with sched "parallel"; results
-	// do not depend on it.
+	// Workers bounds the helper goroutines the calendar may use for its
+	// speculative run-ahead (0 or 1 = inline). Results do not depend on
+	// it.
 	Workers int `json:"workers,omitempty"`
 	// Check enables the runtime invariant checker (~1.5x slower).
 	Check bool `json:"check,omitempty"`
@@ -353,7 +353,8 @@ type CapabilitiesResponse struct {
 	Locks []string `json:"locks"`
 	// Consistency are the SimRequest.Cons values.
 	Consistency []string `json:"consistency"`
-	// Schedulers are the simulation-loop scheduler names.
+	// Schedulers are the SimRequest.Sched values (the "parallel" alias
+	// aside).
 	Schedulers []string `json:"schedulers"`
 	// Predict is nil when no fitted model is loaded.
 	Predict *PredictCapability `json:"predict,omitempty"`

@@ -47,9 +47,9 @@ type FleetStatusResponse struct {
 	// (benchmark × model-group × scale × seed) cells they fanned out.
 	Sweeps uint64 `json:"sweeps"`
 	Cells  uint64 `json:"cells"`
-	// CacheHits counts cells answered from the coordinator's own result
-	// cache (L1); StoreHits counts cells answered from the shared
-	// content-addressed store (L2) without touching a backend.
+	// CacheHits counts sweeps answered whole from the shared
+	// content-addressed store (L2), without fanning out; StoreHits counts
+	// cells answered from that store without touching a backend.
 	CacheHits uint64 `json:"cache_hits"`
 	StoreHits uint64 `json:"store_hits"`
 	// Coalesced counts cell requests that joined another identical

@@ -1,7 +1,7 @@
 package cache
 
 // This file implements the speculation journal behind the machine's
-// parallel scheduler. A Journal layers run-ahead support over one Cache:
+// calendar scheduler. A Journal layers run-ahead support over one Cache:
 // while a processor speculates past the global clock, every hit it performs
 // is stamped with its (future) cycle and its first touch of each line is
 // recorded as an undo entry, so the coordinator can

@@ -75,7 +75,7 @@ func GoldenFile(name string) string { return strings.ToLower(name) + ".json" }
 
 // WideCell is a fixed golden cell past 64 processors, where every CPU set
 // the machine keeps (the holder index, the calendar's near and dirty sets,
-// the parallel scheduler's sweep) spans more than one 64-bit word.
+// the worker pool's sweep) spans more than one 64-bit word.
 type WideCell struct {
 	Benchmark string
 	NCPU      int

@@ -119,8 +119,8 @@ func assertLess(t *testing.T, what, name, refName string, runs, ref []*core.Outc
 // TestSchedulerEquivalence pins the schedulers to each other bit-for-bit
 // across the full benchmark matrix: the retained polling loop is the
 // reference for the calendar without leases (over streamed sources, which
-// cannot rewind), the default calendar, which leases, and the parallel
-// scheduler at every interesting worker count. Worker counts beyond one
+// cannot rewind), the default calendar, which leases, and the calendar
+// with a worker pool at every interesting worker count. Worker counts beyond one
 // exercise the goroutine pool and the pre-dispatch/join path; results must
 // be invariant under all of them and under GOMAXPROCS (the host's
 // parallelism must never leak into simulated time).
@@ -153,9 +153,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("parallel(workers=%d)", workers)
-		parallel := schedEquivSuite(t, machine.SchedParallel, workers)
-		assertSuitesEqual(t, "polling", name, polling, parallel)
-		assertLess(t, "visited", name, "lease-free", parallel, leaseFree, iterations)
+		name := fmt.Sprintf("calendar(workers=%d)", workers)
+		pooled := schedEquivSuite(t, machine.SchedCalendar, workers)
+		assertSuitesEqual(t, "polling", name, polling, pooled)
+		assertLess(t, "visited", name, "lease-free", pooled, leaseFree, iterations)
 	}
 }

@@ -2,9 +2,9 @@
 // core.RunSuite: it executes a matrix of (workload × machine-config)
 // simulation tasks on a bounded worker pool, memoises trace generation in
 // a content-addressed TraceCache so identical traces are generated exactly
-// once per sweep, and records per-phase metrics (generate / analyze /
-// simulate wall time, cache hit rates, worker occupancy, simulated-cycle
-// throughput) into a metrics registry surfaced as a SuiteReport.
+// once per sweep, and sums each task's per-phase metrics (generate /
+// analyze / simulate wall time, cache hits, simulated cycles and scheduler
+// counters) into a SuiteReport.
 //
 // Each task gets per-run isolation for free: the simulator mutates only
 // its own cloned trace cursors and its own machine state, so tasks never
@@ -128,21 +128,6 @@ func (e *Engine) progressf(format string, args ...any) {
 // depends only on the task, never on worker count or scheduling.
 func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.SuiteReport, error) {
 	start := time.Now()
-	reg := metrics.New()
-	var (
-		hits      = reg.Counter("trace_cache_hits")
-		misses    = reg.Counter("trace_cache_misses")
-		busy      = reg.Counter("worker_busy_ns")
-		cycles    = reg.Counter("sim_cycles")
-		iters     = reg.Counter("sched_iterations")
-		steps     = reg.Counter("sched_steps")
-		leased    = reg.Counter("sched_leased_steps")
-		rollbacks = reg.Counter("sched_rollbacks")
-		generate  = reg.Timer("phase_generate")
-		analyze   = reg.Timer("phase_analyze")
-		simulate  = reg.Timer("phase_simulate")
-	)
-
 	workers := e.workers
 	if workers > len(tasks) {
 		workers = len(tasks)
@@ -175,13 +160,7 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.S
 				if runCtx.Err() != nil {
 					continue // drain the feed without starting new work
 				}
-				t0 := time.Now()
-				res, err := e.runTaskSafe(runCtx, &tasks[i], taskMetrics{
-					hits: hits, misses: misses, cycles: cycles,
-					iters: iters, steps: steps, leased: leased, rollbacks: rollbacks,
-					generate: generate, analyze: analyze, simulate: simulate,
-				})
-				busy.Add(int64(time.Since(t0)))
+				res, err := e.runTaskSafe(runCtx, &tasks[i])
 				if err != nil {
 					fail(err)
 					continue
@@ -201,23 +180,18 @@ feeding:
 	close(feed)
 	wg.Wait()
 
-	report := metrics.SuiteReport{
-		Wall:        time.Since(start),
-		Workers:     workers,
-		Tasks:       len(tasks),
-		CacheHits:   hits.Value(),
-		CacheMisses: misses.Value(),
-		Generate:    generate.Total(),
-		Analyze:     analyze.Total(),
-		Simulate:    simulate.Total(),
-		Busy:        time.Duration(busy.Value()),
-		SimCycles:   uint64(cycles.Value()),
-		SchedIters:  uint64(iters.Value()),
-		SchedSteps:  uint64(steps.Value()),
-
-		SchedLeasedSteps: uint64(leased.Value()),
-		SchedRollbacks:   uint64(rollbacks.Value()),
+	report := metrics.SuiteReport{Workers: workers}
+	for i := range results {
+		rep := results[i].Report
+		if tasks[i].Stream {
+			rep.Runs = 0 // a stream bypasses the trace cache: no lookup to count
+		}
+		report.Add(rep)
+		if !tasks[i].Metrics {
+			results[i].Report = metrics.RunReport{}
+		}
 	}
+	report.Wall = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, report, err
 	}
@@ -227,38 +201,23 @@ feeding:
 	return results, report, nil
 }
 
-// taskMetrics bundles the registry handles a task updates.
-type taskMetrics struct {
-	hits, misses, cycles        *metrics.Counter
-	iters, steps                *metrics.Counter
-	leased, rollbacks           *metrics.Counter
-	generate, analyze, simulate *metrics.Timer
-}
-
-// addSched folds one run's scheduler counters into the suite totals.
-func (tm taskMetrics) addSched(s machine.SchedStats) {
-	tm.iters.Add(int64(s.Iterations))
-	tm.steps.Add(int64(s.Steps))
-	tm.leased.Add(int64(s.LeasedSteps))
-	tm.rollbacks.Add(int64(s.Rollbacks))
-}
-
 // runTaskSafe is runTask behind a panic barrier: a panic anywhere in task
 // execution — the machine core's invariant panics included — is recovered
 // into a *flight.PanicError that fails this task alone. The worker
 // goroutine, the pool, and every sibling task survive.
-func (e *Engine) runTaskSafe(ctx context.Context, t *Task, tm taskMetrics) (res TaskResult, err error) {
+func (e *Engine) runTaskSafe(ctx context.Context, t *Task) (res TaskResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = TaskResult{}, flight.Recovered(t.Program.Name()+"/"+t.Label, v)
 		}
 	}()
-	return e.runTask(ctx, t, tm)
+	return e.runTask(ctx, t)
 }
 
 // runTask executes one task: trace lookup (generating on a cache miss),
-// then simulation unless the task is ideal-only.
-func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResult, error) {
+// then simulation unless the task is ideal-only. The result always carries
+// the task's report; Run drops it unless Task.Metrics.
+func (e *Engine) runTask(ctx context.Context, t *Task) (TaskResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TaskResult{}, err
 	}
@@ -266,7 +225,7 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 		panic(fmt.Sprintf("chaos: injected worker panic (%s/%s)", t.Program.Name(), t.Label))
 	}
 	if t.Stream {
-		return e.runStreamTask(ctx, t, tm)
+		return e.runStreamTask(ctx, t)
 	}
 	wallStart := time.Now()
 	set, ideal, info, err := e.cache.Get(ctx, t.Program, t.Params, e.progressf)
@@ -275,13 +234,6 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 	}
 	if err != nil {
 		return TaskResult{}, err
-	}
-	if info.Hit {
-		tm.hits.Inc()
-	} else {
-		tm.misses.Inc()
-		tm.generate.Observe(info.Generate)
-		tm.analyze.Observe(info.Analyze)
 	}
 
 	out := TaskResult{Ideal: ideal}
@@ -294,29 +246,12 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 			return TaskResult{}, err
 		}
 		simWall = time.Since(simStart)
-		tm.simulate.Observe(simWall)
-		tm.cycles.Add(int64(res.RunTime))
-		tm.addSched(res.Sched)
 		out.Result = res
 	}
-	if t.Metrics {
-		out.Report = metrics.RunReport{
-			Generate:  info.Generate,
-			Analyze:   info.Analyze,
-			Simulate:  simWall,
-			Wall:      time.Since(wallStart),
-			Runs:      1,
-			SimCycles: simCycles(out.Result),
-		}
-		if out.Result != nil {
-			out.Report.SchedIters = out.Result.Sched.Iterations
-			out.Report.SchedSteps = out.Result.Sched.Steps
-			out.Report.SchedLeasedSteps = out.Result.Sched.LeasedSteps
-			out.Report.SchedRollbacks = out.Result.Sched.Rollbacks
-		}
-		if info.Hit {
-			out.Report.CacheHits = 1
-		}
+	out.Report = runReport(out.Result, simWall, wallStart)
+	out.Report.Generate, out.Report.Analyze = info.Generate, info.Analyze
+	if info.Hit {
+		out.Report.CacheHits = 1
 	}
 	return out, nil
 }
@@ -324,7 +259,7 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 // runStreamTask is the streaming variant of runTask: generation and
 // simulation run concurrently, coupled by a bounded ring. Nothing is
 // cached and no ideal analysis happens — the events exist only in flight.
-func (e *Engine) runStreamTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResult, error) {
+func (e *Engine) runStreamTask(ctx context.Context, t *Task) (TaskResult, error) {
 	if t.IdealOnly {
 		return TaskResult{}, fmt.Errorf("engine: %s/%s: Stream and IdealOnly are mutually exclusive", t.Program.Name(), t.Label)
 	}
@@ -346,30 +281,20 @@ func (e *Engine) runStreamTask(ctx context.Context, t *Task, tm taskMetrics) (Ta
 	if err := h.Wait(); err != nil {
 		return TaskResult{}, fmt.Errorf("engine: generate %s: %w", t.Program.Name(), err)
 	}
-	simWall := time.Since(wallStart)
-	tm.simulate.Observe(simWall)
-	tm.cycles.Add(int64(res.RunTime))
-	tm.addSched(res.Sched)
-	out := TaskResult{Result: res}
-	if t.Metrics {
-		out.Report = metrics.RunReport{
-			Simulate:   simWall,
-			Wall:       time.Since(wallStart),
-			Runs:       1,
-			SimCycles:  res.RunTime,
-			SchedIters: res.Sched.Iterations,
-			SchedSteps: res.Sched.Steps,
-			// A stream cannot rewind, so these stay zero: nothing leases.
-			SchedLeasedSteps: res.Sched.LeasedSteps,
-			SchedRollbacks:   res.Sched.Rollbacks,
-		}
-	}
-	return out, nil
+	// Generation runs inside the simulation here, so its time is simulate
+	// time. A stream cannot rewind, so the lease counters stay zero.
+	return TaskResult{Result: res, Report: runReport(res, time.Since(wallStart), wallStart)}, nil
 }
 
-func simCycles(res *machine.Result) uint64 {
-	if res == nil {
-		return 0
+// runReport starts one task's report: a single run, its simulation time,
+// its wall time since wallStart, and the machine's cycle and scheduler
+// counters (zero for an ideal-only task, whose res is nil).
+func runReport(res *machine.Result, simulate time.Duration, wallStart time.Time) metrics.RunReport {
+	r := metrics.RunReport{Simulate: simulate, Wall: time.Since(wallStart), Runs: 1}
+	if res != nil {
+		r.SimCycles = res.RunTime
+		r.SchedIters, r.SchedSteps = res.Sched.Iterations, res.Sched.Steps
+		r.SchedLeasedSteps, r.SchedRollbacks = res.Sched.LeasedSteps, res.Sched.Rollbacks
 	}
-	return res.RunTime
+	return r
 }

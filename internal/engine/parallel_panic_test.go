@@ -19,7 +19,7 @@ import (
 // number of events — a poisoned trace discovered mid-speculation. The
 // canonical cursor handed to the ideal analyser is disarmed (left < 0);
 // only the per-task clones the engine simulates from are armed, so the
-// panic fires inside the machine's parallel scheduler, not during
+// panic fires inside the calendar's worker pool, not during
 // generation or analysis.
 type poisonedCursor struct {
 	inner *trace.Buffer
@@ -45,8 +45,8 @@ func (p *poisonedCursor) CloneSource() trace.Source {
 }
 
 // poisonedParProgram generates a contended workload whose per-task trace
-// clones panic on their second event. With the parallel scheduler every
-// CPU is speculatively leasable at cycle 0, so the pool pre-dispatches
+// clones panic on their second event. With calendar workers every CPU is
+// speculatively leasable at cycle 0, so the pool pre-dispatches
 // the advances and the panic lands inside a worker goroutine.
 type poisonedParProgram struct{ ncpu int }
 
@@ -77,13 +77,12 @@ func (p *poisonedParProgram) Generate(q workload.Params) (*trace.Set, error) {
 
 func parallelCfg(workers int) machine.Config {
 	cfg := machine.DefaultConfig()
-	cfg.Sched = machine.SchedParallel
 	cfg.Workers = workers
 	return cfg
 }
 
-// TestParallelSchedPanicIsolation: a panic inside one of the parallel
-// scheduler's pool workers crosses two pool boundaries — the machine's
+// TestParallelSchedPanicIsolation: a panic inside one of the calendar's
+// pool workers crosses two pool boundaries — the machine's
 // speculation pool and the engine's task pool — and must still arrive as
 // an ordinary *PanicError naming the job, with both pools torn down
 // (leakCheck) and the engine serviceable for further parallel runs.
@@ -124,11 +123,11 @@ func TestParallelSchedPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestParallelSchedSoak: a race-enabled soak of the parallel scheduler
+// TestParallelSchedSoak: a race-enabled soak of the calendar's worker pool
 // THROUGH the engine — per-run speculation workers composing with the
-// engine's own task pool (suite -j) — across several seeds. Every
-// parallel result must be bit-identical to the calendar result for the
-// same seed, and the pools must not leak.
+// engine's own task pool (suite -j) — across several seeds. Every pooled
+// result must be bit-identical to the inline result for the same seed,
+// and the pools must not leak.
 func TestParallelSchedSoak(t *testing.T) {
 	leakCheck(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))

@@ -22,9 +22,12 @@ func TestStreamTaskBypassesCache(t *testing.T) {
 	base := Task{Program: prog, Params: p, Label: "materialised", Config: cfg}
 	stream := Task{Program: prog, Params: p, Label: "streamed", Config: cfg, Stream: true}
 
-	results, _, err := e.Run(context.Background(), []Task{base, stream})
+	results, rep, err := e.Run(context.Background(), []Task{base, stream})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.CacheMisses != 1 || rep.CacheHits != 0 {
+		t.Errorf("suite cache misses/hits = %d/%d, want 1/0 (a stream makes no lookup)", rep.CacheMisses, rep.CacheHits)
 	}
 	st := e.Cache().Stats()
 	if st.Bypassed != 1 {

@@ -60,9 +60,6 @@ type Config struct {
 	// QuotaNow is the quota clock; nil selects time.Now (tests inject a
 	// fake).
 	QuotaNow func() time.Time
-	// ResultCacheSize bounds the coordinator's merged-sweep L1; 0
-	// selects 64; negative disables it.
-	ResultCacheSize int
 	// CellConcurrency bounds cells in flight per sweep; 0 selects
 	// 2 × len(Backends).
 	CellConcurrency int
@@ -87,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	switch {
-	case c.ResultCacheSize == 0:
-		c.ResultCacheSize = 64
-	case c.ResultCacheSize < 0:
-		c.ResultCacheSize = 0
 	}
 	if c.CellConcurrency <= 0 {
 		c.CellConcurrency = 2 * len(c.Backends)
@@ -124,15 +115,14 @@ func (c *counter) value() uint64 { return c.v.Load() }
 
 // Coordinator is the fleet front end: it owns the epoch-versioned
 // membership ring, the per-backend client pool with circuit breakers and
-// latency digests, the health prober, the cell single-flight, a
-// merged-sweep L1 and (optionally) the shared L2 store, and serves the
-// same /v1 job surface as a single syncsimd plus the fleet admin plane.
+// latency digests, the health prober, the cell single-flight and
+// (optionally) the shared L2 store, and serves the same /v1 job surface
+// as a single syncsimd plus the fleet admin plane.
 type Coordinator struct {
 	cfg     Config
 	members *membership
 	pool    *client.Pool
 	health  *healthTracker
-	cache   *flight.LRU[string, *api.SweepPayload] // nil when ResultCacheSize < 0
 	store   store.Store
 	flights *flight.Group[string, *api.SimPayload]
 	quota   *server.QuotaSet
@@ -176,9 +166,6 @@ func New(cfg Config) (*Coordinator, error) {
 		stats:      make(map[string]*backendStats, len(ring.Members())),
 		baseCancel: baseCancel,
 		logf:       cfg.Logf,
-	}
-	if cfg.ResultCacheSize > 0 {
-		c.cache = flight.NewLRU[string, *api.SweepPayload](cfg.ResultCacheSize)
 	}
 	for _, b := range ring.Members() {
 		c.stats[b] = &backendStats{}
@@ -285,13 +272,8 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	c.sweeps.inc()
 
-	if p, ok := c.cache.Get(plan.Key); ok {
-		c.cacheHits.inc()
-		server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "cache"})
-		return
-	}
 	if p := store.GetJSON[api.SweepPayload](c.store, plan.Key, c.logf); p != nil {
-		c.storeHits.inc()
+		c.cacheHits.inc()
 		server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "store"})
 		return
 	}
@@ -301,7 +283,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.writeCellError(w, err)
 		return
 	}
-	c.cache.Put(plan.Key, payload)
 	store.PutJSON(c.store, plan.Key, payload)
 	server.WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: "run"})
 }

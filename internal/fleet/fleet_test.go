@@ -144,10 +144,11 @@ func TestFleetSweepBitIdentical(t *testing.T) {
 		t.Errorf("routed total = %d, want 18 (every cell accounted to its primary)", routed)
 	}
 
-	// A repeat of the same sweep is the coordinator's own L1 hit.
+	// Without a shared store a repeat fans out again; the backends'
+	// result caches answer its cells.
 	again := postSweep(t, ts.URL, body)
-	if again.Served != "cache" {
-		t.Errorf("repeat served = %q, want cache", again.Served)
+	if again.Served != "run" {
+		t.Errorf("repeat served = %q, want run", again.Served)
 	}
 }
 
@@ -302,9 +303,52 @@ func TestFleetSharedStoreServesSweep(t *testing.T) {
 	if g, w := canonicalJSON(t, got), canonicalJSON(t, ref); g != w {
 		t.Errorf("store-served sweep differs from the computing node's:\n%s\nvs\n%s", g, w)
 	}
-	if st := coord.Status(); st.StoreHits != 1 {
-		t.Errorf("store_hits = %d, want 1", st.StoreHits)
+	if st := coord.Status(); st.CacheHits != 1 || st.StoreHits != 0 {
+		t.Errorf("cache_hits/store_hits = %d/%d, want 1/0 (a whole sweep is no cell)", st.CacheHits, st.StoreHits)
 	}
+}
+
+// TestFleetStoreHitCounters: with a shared store, a repeated sweep is
+// answered whole from it, which counts one cache hit and no cell; a new
+// sweep over cells the backend already stored fans out and counts one
+// store hit per cell.
+func TestFleetStoreHitCounters(t *testing.T) {
+	disk, err := store.OpenDisk(filepath.Join(t.TempDir(), "l2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1 := startBackend(t, server.Config{Workers: 2, Store: disk}, nil)
+	coord, err := New(Config{
+		Backends:       []string{b1.url},
+		Pool:           fastPool(),
+		Store:          disk,
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	step := func(body, served string, cacheHits, storeHits uint64) {
+		t.Helper()
+		before := coord.Status()
+		if got := postSweep(t, ts.URL, body); got.Served != served {
+			t.Fatalf("%s served = %q, want %q", body, got.Served, served)
+		}
+		after := coord.Status()
+		if d := after.CacheHits - before.CacheHits; d != cacheHits {
+			t.Errorf("%s: cache_hits rose by %d, want %d", body, d, cacheHits)
+		}
+		if d := after.StoreHits - before.StoreHits; d != storeHits {
+			t.Errorf("%s: store_hits rose by %d, want %d", body, d, storeHits)
+		}
+	}
+	body := `{"scale":0.01,"seed":9,"only":["Qsort"],"models":["queue","tts"]}`
+	step(body, "run", 0, 0)
+	step(body, "store", 1, 0)
+	step(`{"scale":0.01,"seed":9,"only":["Qsort"],"models":["tts"]}`, "run", 0, 1)
 }
 
 // TestFleetStatusAndHealth: /v1/fleet/status reports every backend with

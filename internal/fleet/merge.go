@@ -29,7 +29,6 @@ func MergeSweep(plan server.SweepPlan, results []cellResult) (*api.SweepPayload,
 		return nil, fmt.Errorf("fleet: merge got %d results for a %d-cell plan", len(results), len(plan.Cells))
 	}
 	p := &api.SweepPayload{Request: plan.Request}
-	var suiteRep metrics.SuiteReport
 	// byBench maps benchmark → outcome index: appending to p.Outcomes can
 	// move the backing array, so pointers into it are re-taken per cell.
 	byBench := map[string]int{}
@@ -66,20 +65,8 @@ func MergeSweep(plan server.SweepPlan, results []cellResult) (*api.SweepPayload,
 		}
 		out.Results[r.cell.Model] = r.payload.Result
 		out.Report.Add(r.payload.Report)
-		suiteRep.Tasks++
-		suiteRep.CacheHits += int64(r.payload.Report.CacheHits)
-		suiteRep.CacheMisses += int64(r.payload.Report.Runs - r.payload.Report.CacheHits)
-		suiteRep.Generate += r.payload.Report.Generate
-		suiteRep.Analyze += r.payload.Report.Analyze
-		suiteRep.Simulate += r.payload.Report.Simulate
-		suiteRep.Busy += r.payload.Report.Wall
-		suiteRep.SimCycles += r.payload.Report.SimCycles
-		suiteRep.SchedIters += r.payload.Report.SchedIters
-		suiteRep.SchedSteps += r.payload.Report.SchedSteps
-		suiteRep.SchedLeasedSteps += r.payload.Report.SchedLeasedSteps
-		suiteRep.SchedRollbacks += r.payload.Report.SchedRollbacks
+		p.Report.Add(r.payload.Report)
 	}
-	p.Report = suiteRep
 	return p, nil
 }
 

@@ -44,7 +44,7 @@ func (c Consistency) String() string {
 	}
 }
 
-// SchedKind selects the simulation-loop scheduler. All schedulers are
+// SchedKind selects the simulation-loop scheduler. Both schedulers are
 // cycle-exact — they produce bit-identical results — and differ only in
 // how they find the work of each simulated cycle.
 type SchedKind uint8
@@ -53,26 +53,29 @@ const (
 	// SchedCalendar (the default) drives the machine off a wakeup
 	// calendar: min-heaps of component wakeup times plus a dirty set of
 	// perturbed processors, so each visited cycle steps only the CPUs
-	// that can act and the next cycle is a heap pop. On the same
-	// coordinator goroutine it speculatively runs each processor through
-	// its purely-local event stretches (execution bursts and cache hits)
-	// ahead of the global clock, committing the speculation in calendar
-	// order and rolling it back when a bus snoop invalidates it; every
-	// bus transaction is still ordered exactly as without speculation.
-	// Over a source that cannot rewind (no trace.Marker, such as a
-	// streamed ring) it steps every processor serially. See
+	// that can act and the next cycle is a heap pop. It speculatively
+	// runs each processor through its purely-local event stretches
+	// (execution bursts and cache hits) ahead of the global clock,
+	// committing the speculation in calendar order and rolling it back
+	// when a bus snoop invalidates it; every bus transaction is still
+	// ordered exactly as without speculation. The run-ahead stays on the
+	// coordinator goroutine unless Config.Workers hands it to helper
+	// goroutines. Over a source that cannot rewind (no trace.Marker, such
+	// as a streamed ring) it steps every processor serially. See
 	// internal/machine/parallel.go and DESIGN §12 and §16.
 	SchedCalendar SchedKind = iota
 	// SchedPolling is the original loop: every visited cycle steps every
-	// processor and rescans every component for the next event time. Kept
-	// for differential testing against the calendar scheduler.
+	// processor and rescans every component for the next event time. It
+	// is the reference the scheduler-equivalence tests and fuzzers compare
+	// the calendar against; no CLI flag or wire request selects it.
 	SchedPolling
-	// SchedParallel is SchedCalendar plus a worker pool: the speculative
-	// run-ahead of eligible processors is handed to up to Config.Workers
-	// helper goroutines and joined in calendar order, so results are
-	// bit-identical for every worker count.
-	SchedParallel
 )
+
+// SchedParallel is the former name of a calendar run with a worker pool;
+// Config.Workers alone starts the pool now.
+//
+// Deprecated: use SchedCalendar and set Config.Workers.
+const SchedParallel = SchedCalendar
 
 func (s SchedKind) String() string {
 	switch s {
@@ -80,42 +83,8 @@ func (s SchedKind) String() string {
 		return "calendar"
 	case SchedPolling:
 		return "polling"
-	case SchedParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("SchedKind(%d)", uint8(s))
-	}
-}
-
-// Schedulers lists every scheduler kind in wire-name order. It is the
-// single source of truth for CLI flags and the service's capabilities
-// endpoint, so the advertised set cannot drift from the implementation.
-func Schedulers() []SchedKind {
-	return []SchedKind{SchedCalendar, SchedPolling, SchedParallel}
-}
-
-// SchedulerNames returns the wire names of every scheduler kind.
-func SchedulerNames() []string {
-	kinds := Schedulers()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	return names
-}
-
-// ParseSched resolves a scheduler wire name. The empty string selects the
-// default (calendar) scheduler.
-func ParseSched(name string) (SchedKind, error) {
-	switch name {
-	case "", SchedCalendar.String():
-		return SchedCalendar, nil
-	case SchedPolling.String():
-		return SchedPolling, nil
-	case SchedParallel.String():
-		return SchedParallel, nil
-	default:
-		return 0, fmt.Errorf("machine: unknown scheduler %q", name)
 	}
 }
 
@@ -128,15 +97,14 @@ type Config struct {
 	Lock        locks.Algorithm
 	Consistency Consistency
 
-	// Sched selects the run-loop scheduler; all produce identical
+	// Sched selects the run-loop scheduler; both produce identical
 	// results (see SchedKind). The zero value is the calendar scheduler.
 	Sched SchedKind
-	// Workers bounds the helper goroutines SchedParallel may use for
+	// Workers bounds the helper goroutines the calendar may use for
 	// speculative processor run-ahead. 0 or 1 keeps the speculation
-	// inline on the coordinator, exactly as SchedCalendar runs it; larger
-	// values are clamped to GOMAXPROCS and to the processor count.
-	// Results are bit-identical for every value. Ignored by the other
-	// schedulers.
+	// inline on the coordinator; larger values are clamped to GOMAXPROCS
+	// and to the processor count. Results are bit-identical for every
+	// value. Ignored by SchedPolling.
 	Workers int `json:",omitempty"`
 
 	// BackoffBase and BackoffMax bound the exponential backoff of the
@@ -213,7 +181,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: unknown consistency model %v", c.Consistency)
 	}
 	switch c.Sched {
-	case SchedCalendar, SchedPolling, SchedParallel:
+	case SchedCalendar, SchedPolling:
 	default:
 		return fmt.Errorf("machine: unknown scheduler %v", c.Sched)
 	}

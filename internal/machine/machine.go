@@ -96,8 +96,8 @@ type Machine struct {
 	// every scheduler hook is a no-op and the original loop runs.
 	sched *scheduler
 	// par is the calendar's speculative executor (leases, journals and
-	// SchedParallel's worker pool); nil under SchedPolling or when a
-	// source cannot rewind. See parallel.go.
+	// the worker pool); nil under SchedPolling or when a source cannot
+	// rewind. See parallel.go.
 	par       *parExec
 	iters     uint64 // visited simulation cycles
 	steps     uint64 // cpu step() invocations
@@ -378,7 +378,7 @@ func (m *Machine) runPolling(ctx context.Context) error {
 	return nil
 }
 
-// runCalendar is the main loop of the calendar and parallel schedulers: a
+// runCalendar is the main loop of the calendar scheduler: a
 // wakeup calendar with the lease discipline of parallel.go layered into
 // phase B. Each visited cycle runs the same three phases as runPolling, but
 // phase B visits only CPUs that are dirty (perturbed at this cycle by a

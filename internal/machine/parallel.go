@@ -12,8 +12,8 @@ import (
 
 // This file implements the calendar's lease discipline: speculative
 // per-processor run-ahead over the wakeup calendar, bit-identical to the
-// polling loop. SchedCalendar runs it inline on the coordinator;
-// SchedParallel adds a worker pool for the advances.
+// polling loop. The calendar runs it inline on the coordinator, or hands
+// the advances to a worker pool when Config.Workers > 1.
 //
 // # Why speculation
 //
@@ -68,21 +68,20 @@ import (
 //
 // # Workers
 //
-// Under SchedParallel with Config.Workers > 1 the advances themselves
-// (pure per-processor functions) run on a small goroutine pool: at the
-// start of each phase-B sweep the coordinator pre-dispatches an advance for
-// every eligible dirty processor, then sweeps in index order, joining each
-// processor's advance at its position. Dispatched processors cannot be
-// perturbed by earlier sweep steps (they are never blocked on locks or
-// barriers and their buffers are empty), so the join order — not the
-// completion order — decides every observable effect and results are
-// independent of worker count, scheduling and GOMAXPROCS. All conflict detection, rollback,
-// replay and commit work stays on the coordinator. Under SchedCalendar,
-// and under SchedParallel with Workers <= 1 (or on a single-CPU host), the
-// same speculation runs inline on the coordinator with no goroutines at
-// all — this is where the calendar's single-thread speed comes from: a
-// leased visit costs an event decode and a journal probe instead of the
-// full visited-cycle machinery.
+// With Config.Workers > 1 the advances themselves (pure per-processor
+// functions) run on a small goroutine pool: at the start of each phase-B
+// sweep the coordinator pre-dispatches an advance for every eligible dirty
+// processor, then sweeps in index order, joining each processor's advance
+// at its position. Dispatched processors cannot be perturbed by earlier
+// sweep steps (they are never blocked on locks or barriers and their
+// buffers are empty), so the join order — not the completion order —
+// decides every observable effect and results are independent of worker
+// count, scheduling and GOMAXPROCS. All conflict detection, rollback,
+// replay and commit work stays on the coordinator. With Workers <= 1 (or
+// on a single-CPU host) the same speculation runs inline on the
+// coordinator with no goroutines at all — this is where the calendar's
+// single-thread speed comes from: a leased visit costs an event decode and
+// a journal probe instead of the full visited-cycle machinery.
 //
 // The hot path allocates nothing in steady state: journals and stamp
 // arrays are sized at construction, snoop-replay queues are reslised on
@@ -168,10 +167,10 @@ func newParExec(m *Machine) *parExec {
 
 // effectiveWorkers resolves Config.Workers against the host: helper
 // goroutines beyond GOMAXPROCS or the processor count cannot add
-// parallelism, and 0/1 selects the inline path. Only SchedParallel with an
-// executor starts a pool.
+// parallelism, and 0/1 selects the inline path. Only a calendar run with
+// an executor starts a pool.
 func (m *Machine) effectiveWorkers() int {
-	if m.par == nil || m.cfg.Sched != SchedParallel {
+	if m.par == nil {
 		return 0
 	}
 	w := m.cfg.Workers
@@ -192,7 +191,7 @@ func (m *Machine) leasable(c *cpu) bool {
 		c.buf.empty() && c.stallCause == causeNone
 }
 
-// startWorkers starts SchedParallel's advance pool and returns its
+// startWorkers starts the calendar's advance pool and returns its
 // shutdown, which the run loop defers so that every exit path — a panic
 // included — closes the pool.
 func (m *Machine) startWorkers(workers int) (stop func()) {

@@ -67,36 +67,37 @@ func TestLeaseCounters(t *testing.T) {
 			cpus[i] = append(cpus[i], trace.Exec(2), trace.Read(shared))
 		}
 	}
-	run := func(sched SchedKind, set *trace.Set) SchedStats {
+	run := func(sched SchedKind, workers int, set *trace.Set) SchedStats {
 		t.Helper()
 		cfg := defCfg()
 		cfg.Sched = sched
+		cfg.Workers = workers
 		res, err := Run(set, cfg)
 		if err != nil {
-			t.Fatalf("Run(%v): %v", sched, err)
+			t.Fatalf("Run(%v, workers=%d): %v", sched, workers, err)
 		}
 		return res.Sched
 	}
-	for _, sched := range []SchedKind{SchedCalendar, SchedParallel} {
-		st := run(sched, trace.BufferSet("contention", cpus))
+	for _, workers := range []int{0, 2} {
+		st := run(SchedCalendar, workers, trace.BufferSet("contention", cpus))
 		if st.LeasedSteps == 0 || st.LeasedSteps > st.Steps {
-			t.Errorf("%v: %d leased steps of %d, want some and no more than all", sched, st.LeasedSteps, st.Steps)
+			t.Errorf("workers=%d: %d leased steps of %d, want some and no more than all", workers, st.LeasedSteps, st.Steps)
 		}
 		if st.Rollbacks == 0 {
-			t.Errorf("%v: no rollbacks on a contended run: %+v", sched, st)
+			t.Errorf("workers=%d: no rollbacks on a contended run: %+v", workers, st)
 		}
 	}
-	if st := run(SchedCalendar, leaseFree(trace.BufferSet("contention", cpus))); st.LeasedSteps != 0 || st.Rollbacks != 0 {
+	if st := run(SchedCalendar, 0, leaseFree(trace.BufferSet("contention", cpus))); st.LeasedSteps != 0 || st.Rollbacks != 0 {
 		t.Errorf("lease-free calendar counted leases: %+v", st)
 	}
-	if st := run(SchedPolling, trace.BufferSet("contention", cpus)); st.LeasedSteps != 0 || st.Rollbacks != 0 {
+	if st := run(SchedPolling, 0, trace.BufferSet("contention", cpus)); st.LeasedSteps != 0 || st.Rollbacks != 0 {
 		t.Errorf("polling counted leases: %+v", st)
 	}
 }
 
-// TestParallelSchedEquivalence pins the leasing schedulers — the default
-// calendar and the parallel scheduler at several worker counts — to the
-// lease-free calendar bit-for-bit, invariant checker ON in every run,
+// TestParallelSchedEquivalence pins the leasing calendar — inline and with
+// a worker pool at several worker counts — to the lease-free calendar
+// bit-for-bit, invariant checker ON in every run,
 // across lock algorithms and both consistency models. The checker makes
 // this the strongest machine-level gate: every committed state the
 // speculation produces must also satisfy the Illinois, lock and
@@ -106,10 +107,9 @@ func TestParallelSchedEquivalence(t *testing.T) {
 	const ncpu = 12
 	cpus := contentionTraces(ncpu)
 
-	runWith := func(sched SchedKind, workers int, rewindable bool, alg locks.Algorithm, cons Consistency) *Result {
+	runWith := func(workers int, rewindable bool, alg locks.Algorithm, cons Consistency) *Result {
 		t.Helper()
 		cfg := defCfg()
-		cfg.Sched = sched
 		cfg.Workers = workers
 		cfg.Check = true
 		cfg.Lock = alg
@@ -120,14 +120,14 @@ func TestParallelSchedEquivalence(t *testing.T) {
 		}
 		m, err := New(set, cfg)
 		if err != nil {
-			t.Fatalf("New(%v): %v", sched, err)
+			t.Fatalf("New(workers=%d): %v", workers, err)
 		}
 		if rewindable && m.par == nil {
 			t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
 		}
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("Run(%v workers=%d %v %v): %v", sched, workers, alg, cons, err)
+			t.Fatalf("Run(workers=%d %v %v): %v", workers, alg, cons, err)
 		}
 		res.Config = Config{}
 		res.Sched = SchedStats{}
@@ -136,57 +136,55 @@ func TestParallelSchedEquivalence(t *testing.T) {
 
 	for _, alg := range []locks.Algorithm{locks.Queue, locks.TTS, locks.TTSBackoff} {
 		for _, cons := range []Consistency{SeqConsistent, WeakOrdering} {
-			want := runWith(SchedCalendar, 0, false, alg, cons)
-			if calendar := runWith(SchedCalendar, 0, true, alg, cons); !reflect.DeepEqual(want, calendar) {
-				t.Errorf("%v/%v: leased calendar diverges from lease-free:\nlease-free: %+v\ncalendar:   %+v",
-					alg, cons, want, calendar)
-			}
+			want := runWith(0, false, alg, cons)
 			for _, workers := range []int{0, 2, 8} {
-				parallel := runWith(SchedParallel, workers, true, alg, cons)
-				if !reflect.DeepEqual(want, parallel) {
-					t.Errorf("%v/%v workers=%d: parallel diverges from lease-free calendar:\nlease-free: %+v\nparallel:   %+v",
-						alg, cons, workers, want, parallel)
+				leased := runWith(workers, true, alg, cons)
+				if !reflect.DeepEqual(want, leased) {
+					t.Errorf("%v/%v workers=%d: leased calendar diverges from lease-free:\nlease-free: %+v\nleased:     %+v",
+						alg, cons, workers, want, leased)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelSchedEquivalenceManyCPUs pins the speculative scheduler to
-// the calendar past 64 processors, where the dirty set it walks and the
-// holder index it routes snoops through span two words: the executor must
-// be built, and every worker count must match the calendar bit-for-bit,
-// checker on.
+// TestParallelSchedEquivalenceManyCPUs pins the calendar's worker pool to
+// the inline calendar past 64 processors, where the dirty set it walks and
+// the holder index it routes snoops through span two words: the executor
+// must be built and the pool started, and every worker count must match
+// the inline run bit-for-bit, checker on.
 func TestParallelSchedEquivalenceManyCPUs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, ncpu := range []int{72, 128} {
 		cpus := contentionTraces(ncpu)
-		run := func(sched SchedKind, workers int) *Result {
+		run := func(workers int) *Result {
 			cfg := defCfg()
-			cfg.Sched = sched
 			cfg.Workers = workers
 			cfg.Check = true
 			set := trace.BufferSet("manycpu", cpus)
 			m, err := New(set, cfg)
 			if err != nil {
-				t.Fatalf("New(%v): %v", sched, err)
+				t.Fatalf("New(workers=%d): %v", workers, err)
 			}
-			if sched == SchedParallel && m.par == nil {
-				t.Fatalf("parallel executor not built for %d CPUs with rewindable sources", ncpu)
+			if m.par == nil {
+				t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
+			}
+			if w := m.effectiveWorkers(); workers > 1 && w < 2 {
+				t.Fatalf("%d CPUs, workers=%d: pool of %d, want one to start", ncpu, workers, w)
 			}
 			res, err := m.Run()
 			if err != nil {
-				t.Fatalf("Run(%v workers=%d): %v", sched, workers, err)
+				t.Fatalf("Run(workers=%d): %v", workers, err)
 			}
 			res.Config = Config{}
 			res.Sched = SchedStats{}
 			return res
 		}
-		calendar := run(SchedCalendar, 0)
-		for _, workers := range []int{0, 2, 8} {
-			if parallel := run(SchedParallel, workers); !reflect.DeepEqual(calendar, parallel) {
-				t.Errorf("%d CPUs, workers=%d: parallel diverges from calendar:\ncalendar: %+v\nparallel: %+v",
-					ncpu, workers, calendar, parallel)
+		inline := run(0)
+		for _, workers := range []int{2, 8} {
+			if pooled := run(workers); !reflect.DeepEqual(inline, pooled) {
+				t.Errorf("%d CPUs, workers=%d: pooled calendar diverges from inline:\ninline: %+v\npooled: %+v",
+					ncpu, workers, inline, pooled)
 			}
 		}
 	}
@@ -210,13 +208,13 @@ func TestParallelFallbackNonRewindable(t *testing.T) {
 		return set
 	}
 	cfg := defCfg()
-	cfg.Sched = SchedParallel
+	cfg.Workers = 2
 	m, err := New(mkSet(true), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.par != nil {
-		t.Fatal("parallel executor built over non-rewindable sources")
+		t.Fatal("speculative executor built over non-rewindable sources")
 	}
 	got, err := m.Run()
 	if err != nil {
@@ -281,7 +279,6 @@ func TestParallelWorkerPanicPropagates(t *testing.T) {
 			set.Sources[i] = &panicSource{inner: src.(*trace.Buffer), left: 1}
 		}
 		cfg := defCfg()
-		cfg.Sched = SchedParallel
 		cfg.Workers = 4
 		var err error
 		m, err = New(set, cfg)
@@ -289,7 +286,7 @@ func TestParallelWorkerPanicPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m.par == nil {
-			t.Fatal("parallel executor not built over panicSource (Marker not detected)")
+			t.Fatal("speculative executor not built over panicSource (Marker not detected)")
 		}
 		_, _ = m.Run()
 	}()

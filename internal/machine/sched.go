@@ -120,8 +120,8 @@ func (h *cpuHeap) pop() cpuWakeup {
 }
 
 // scheduler is the per-run wakeup calendar. It is created under
-// SchedCalendar and SchedParallel; under SchedPolling every hook is
-// guarded by a nil check and the original loop is used unchanged.
+// SchedCalendar; under SchedPolling every hook is guarded by a nil check
+// and the original loop is used unchanged.
 type scheduler struct {
 	times timeHeap
 	wakes cpuHeap

@@ -138,8 +138,8 @@ func TestSchedulerNextAfter(t *testing.T) {
 	}
 }
 
-// TestSchedulerSweepCursor pins the multi-word cursor walk the calendar
-// and parallel sweeps use over the dirty set. A CPU marked mid-sweep above
+// TestSchedulerSweepCursor pins the multi-word cursor walk the calendar's
+// inline and pooled sweeps use over the dirty set. A CPU marked mid-sweep above
 // the cursor — in the same word or a later one — is visited in the same
 // sweep; one marked at or below the cursor (its own id included) keeps its
 // mark and is visited by the next cycle's sweep, as the polling loop's
@@ -244,8 +244,8 @@ func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 }
 
 // requireLoopsAgree runs a trace under polling, the leased calendar, the
-// lease-free calendar (sources wrapped in trace.Func) and the parallel
-// scheduler, under both lock families and both consistency models, and
+// lease-free calendar (sources wrapped in trace.Func) and the calendar with
+// a worker pool, under both lock families and both consistency models, and
 // requires every loop to finish with polling's result.
 func requireLoopsAgree(t *testing.T, cpus [][]trace.Event) {
 	t.Helper()
@@ -280,7 +280,7 @@ func requireLoopsAgree(t *testing.T, cpus [][]trace.Event) {
 			}{
 				{"leased calendar", SchedCalendar, 0, true},
 				{"lease-free calendar", SchedCalendar, 0, false},
-				{"parallel", SchedParallel, 2, true},
+				{"calendar, 2 workers", SchedCalendar, 2, true},
 			} {
 				if got := run(c.loop, c.sched, c.workers, c.rewindable); !reflect.DeepEqual(got, want) {
 					t.Errorf("%v/%v: %s diverges from polling:\npolling: %+v\n%s: %+v",

@@ -7,17 +7,16 @@ import (
 	"syncsim/internal/trace"
 )
 
-// A streaming trace cannot be rewound, so SchedParallel must detect the
-// missing Marker capability, skip building the speculative executor, and
-// run the ordinary calendar loop — producing the exact Result a serial run
-// over the same materialised trace does. This is the streaming→serial
-// fallback rule of DESIGN §17.
+// A streaming trace cannot be rewound, so the calendar must detect the
+// missing Marker capability, skip building the speculative executor (and
+// with it any worker pool), and step every processor serially — producing
+// the exact Result a run over the same materialised trace does. This is
+// the streaming→serial fallback rule of DESIGN §17.
 func TestParallelStreamingFallback(t *testing.T) {
 	const ncpu = 4
 	cpus := contentionTraces(ncpu)
 
 	cfg := defCfg()
-	cfg.Sched = SchedCalendar
 	cfg.Check = true
 	want, err := Run(trace.BufferSet("contention", cpus), cfg)
 	if err != nil {
@@ -43,14 +42,13 @@ func TestParallelStreamingFallback(t *testing.T) {
 		ring.Close(nil)
 	}()
 
-	cfg.Sched = SchedParallel
 	cfg.Workers = 4
 	m, err := New(ring.Set(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.par != nil {
-		t.Fatal("parallel executor built over streaming sources; fallback did not trigger")
+		t.Fatal("speculative executor built over streaming sources; fallback did not trigger")
 	}
 	got, err := m.Run()
 	if err != nil {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -135,5 +136,34 @@ func TestSuiteReport(t *testing.T) {
 	var zero SuiteReport
 	if zero.CacheHitRate() != 0 || zero.Occupancy() != 0 || zero.Throughput() != 0 {
 		t.Error("zero report ratios should be 0")
+	}
+}
+
+// TestSuiteReportAdd sets every RunReport field and checks that
+// SuiteReport.Add folds each one into the suite totals. A RunReport field
+// left unset here fails the test, so a new counter must be given a value
+// below and a sum in Add, the one place the engine and the fleet merge
+// both sum through.
+func TestSuiteReportAdd(t *testing.T) {
+	r := RunReport{
+		Generate: 1, Analyze: 2, Simulate: 3, Wall: 4, Runs: 5, CacheHits: 2,
+		SimCycles: 7, SchedIters: 8, SchedSteps: 9, SchedLeasedSteps: 10, SchedRollbacks: 11,
+	}
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("RunReport.%s is unset: give it a value here and a sum in SuiteReport.Add", v.Type().Field(i).Name)
+		}
+	}
+	var s SuiteReport
+	s.Add(r)
+	s.Add(r)
+	want := SuiteReport{
+		Tasks: 2, CacheHits: 4, CacheMisses: 6,
+		Generate: 2, Analyze: 4, Simulate: 6, Busy: 8,
+		SimCycles: 14, SchedIters: 16, SchedSteps: 18, SchedLeasedSteps: 20, SchedRollbacks: 22,
+	}
+	if s != want {
+		t.Errorf("two folds of %+v:\n got %+v\nwant %+v", r, s, want)
 	}
 }

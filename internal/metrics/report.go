@@ -116,6 +116,26 @@ type SuiteReport struct {
 	SchedLeasedSteps, SchedRollbacks uint64
 }
 
+// Add folds one task's run report into the suite totals: the task, its
+// trace-cache lookups (each of r's Runs looked its trace up, and CacheHits
+// of them hit), its phase times, its wall time as worker busy time, and
+// its simulated cycles and scheduler counters. Wall and Workers describe
+// the whole suite and are the caller's to set.
+func (s *SuiteReport) Add(r RunReport) {
+	s.Tasks++
+	s.CacheHits += int64(r.CacheHits)
+	s.CacheMisses += int64(r.Runs - r.CacheHits)
+	s.Generate += r.Generate
+	s.Analyze += r.Analyze
+	s.Simulate += r.Simulate
+	s.Busy += r.Wall
+	s.SimCycles += r.SimCycles
+	s.SchedIters += r.SchedIters
+	s.SchedSteps += r.SchedSteps
+	s.SchedLeasedSteps += r.SchedLeasedSteps
+	s.SchedRollbacks += r.SchedRollbacks
+}
+
 // CacheHitRate returns the fraction of trace-cache lookups that hit,
 // or zero when there were none.
 func (r SuiteReport) CacheHitRate() float64 {

@@ -34,9 +34,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		Consistency: []string{
 			machine.SeqConsistent.String(), machine.WeakOrdering.String(),
 		},
-		// Sourced from the machine's own registry so the advertised set
-		// cannot drift from what normalizeSim accepts.
-		Schedulers: machine.SchedulerNames(),
+		Schedulers: []string{machine.SchedCalendar.String()},
 		Analyze: &api.AnalyzeCapability{
 			Perturbations:    api.Perturbations(),
 			DefaultThreshold: replay.DefaultThreshold,

@@ -97,7 +97,7 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 		{name: "invalid machine config", body: `{"bench":"Qsort","lock":"mutex"}`, status: http.StatusBadRequest},
 		{name: "unknown scheduler", body: `{"bench":"Qsort","sched":"speculative"}`, status: http.StatusBadRequest},
 		{name: "negative workers", body: `{"bench":"Qsort","sched":"parallel","workers":-1}`, status: http.StatusBadRequest},
-		{name: "workers without parallel sched", body: `{"bench":"Qsort","workers":4}`, status: http.StatusBadRequest},
+		{name: "polling sched", body: `{"bench":"Qsort","sched":"polling"}`, status: http.StatusBadRequest},
 		{name: "body too large", body: bigBody, status: http.StatusRequestEntityTooLarge},
 		{name: "invariant violation", body: `{"bench":"Qsort","scale":0.01,"seed":11}`,
 			inject: fmt.Errorf("cycle 9: %w", machine.ErrInvariant), arm: true, status: http.StatusUnprocessableEntity},

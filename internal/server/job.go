@@ -74,19 +74,14 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 	default:
 		return simJob{}, fmt.Errorf("unknown cons %q (want sc or wo)", req.Cons)
 	}
-	sched, err := machine.ParseSched(req.Sched)
-	if err != nil {
-		return simJob{}, fmt.Errorf("unknown sched %q (want %s)",
-			req.Sched, strings.Join(machine.SchedulerNames(), ", "))
+	switch req.Sched {
+	case "", "calendar", "parallel": // "parallel": the calendar's former name
+		req.Sched = machine.SchedCalendar.String()
+	default:
+		return simJob{}, fmt.Errorf("unknown sched %q (want calendar)", req.Sched)
 	}
-	req.Sched = sched.String() // canonicalise "" → "calendar"
-	cfg.Sched = sched
 	if req.Workers < 0 {
 		return simJob{}, fmt.Errorf("negative workers %d", req.Workers)
-	}
-	if req.Workers > 0 && sched != machine.SchedParallel {
-		return simJob{}, fmt.Errorf("workers only applies to sched %q, got sched %q",
-			machine.SchedParallel, req.Sched)
 	}
 	cfg.Workers = req.Workers
 	cfg.Check = req.Check
@@ -104,9 +99,11 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 		prog:   b.Program,
 		params: params,
 		cfg:    cfg,
-		// Sched and workers are keyed although every scheduler produces
-		// identical statistics: the payload echoes the request and the
-		// result's config, which must reflect what was asked for.
+		// Workers is keyed although every worker count produces identical
+		// statistics: the payload echoes the request and the result's
+		// config, which must reflect what was asked for. Sched is always
+		// "calendar" here; it stays in the key so that keys written
+		// before "parallel" became an alias still match.
 		key: fmt.Sprintf("sim|%s|%d|%g|%d|%s|%s|%s|%d|%t",
 			k.Workload, k.NCPU, k.Scale, k.Seed, req.Lock, req.Cons, req.Sched, req.Workers, req.Check),
 	}

@@ -12,7 +12,6 @@ import (
 
 	"syncsim/internal/api"
 	"syncsim/internal/engine"
-	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/predict"
 )
@@ -260,9 +259,8 @@ func TestCapabilities(t *testing.T) {
 		t.Errorf("vocabulary sizes = %d/%d/%d, want 3/4/2 models/locks/cons",
 			len(caps.Models), len(caps.Locks), len(caps.Consistency))
 	}
-	if !reflect.DeepEqual(caps.Schedulers, machine.SchedulerNames()) {
-		t.Errorf("schedulers = %v, want the machine registry %v (no hand-maintained drift)",
-			caps.Schedulers, machine.SchedulerNames())
+	if want := []string{"calendar"}; !reflect.DeepEqual(caps.Schedulers, want) {
+		t.Errorf("schedulers = %v, want %v", caps.Schedulers, want)
 	}
 	if caps.Predict == nil || caps.Predict.Cells != 1 || caps.Predict.MaxErrBound != 0.05 {
 		t.Errorf("predict capability = %+v, want 1 cell with bound 0.05", caps.Predict)

@@ -93,12 +93,12 @@ func TestEndToEndSim(t *testing.T) {
 	}
 }
 
-// TestEndToEndSimParallelSched serves the same simulation under the
-// calendar and the speculative parallel scheduler and demands identical
-// statistics on the wire: the scheduler is an implementation knob, never
-// an observable one. The two requests must not share a cache entry (their
-// echoed requests differ), which also pins sched/workers into the result
-// cache key.
+// TestEndToEndSimParallelSched serves the same simulation inline and with
+// a worker pool and demands identical statistics on the wire: workers are
+// an implementation knob, never an observable one. Workers are part of the
+// result cache key (the echoed request and config differ), while
+// "parallel" is only an alias of the calendar: a request spelled with it
+// shares the calendar request's cache entry and echoes "calendar".
 func TestEndToEndSimParallelSched(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -109,24 +109,32 @@ func TestEndToEndSimParallelSched(t *testing.T) {
 	if resp == nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("serial: status = %d, want 200", resp.StatusCode)
 	}
-	parallel, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"sched":"parallel","workers":4}`)
+	pooled, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"workers":4}`)
 	if resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("parallel: status = %d, want 200", resp.StatusCode)
+		t.Fatalf("workers: status = %d, want 200", resp.StatusCode)
 	}
-	if parallel.Served != "run" {
-		t.Errorf("parallel served = %q, want run (sched must be part of the cache key)", parallel.Served)
+	if serial.Served != "run" || pooled.Served != "run" {
+		t.Errorf("served = %q, %q, want run, run (workers must be part of the cache key)", serial.Served, pooled.Served)
 	}
-	if parallel.Request.Sched != "parallel" || parallel.Request.Workers != 4 {
-		t.Errorf("request echo lost the scheduler: %+v", parallel.Request)
+	if serial.Request.Sched != "calendar" || pooled.Request.Sched != "calendar" || pooled.Request.Workers != 4 {
+		t.Errorf("request echoes = %+v, %+v, want sched calendar and workers 4", serial.Request, pooled.Request)
 	}
-	if serial.Request.Sched != "calendar" {
-		t.Errorf("omitted sched not canonicalised to calendar: %+v", serial.Request)
-	}
-	sr, pr := *serial.Result, *parallel.Result
+	sr, pr := *serial.Result, *pooled.Result
 	sr.Config, pr.Config = machine.Config{}, machine.Config{}
 	sr.Sched, pr.Sched = machine.SchedStats{}, machine.SchedStats{}
 	if !reflect.DeepEqual(sr, pr) {
-		t.Errorf("parallel result diverges from calendar over the wire:\ncalendar: %+v\nparallel: %+v", sr, pr)
+		t.Errorf("pooled result diverges from inline over the wire:\ninline: %+v\npooled: %+v", sr, pr)
+	}
+
+	alias, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"sched":"parallel","workers":4}`)
+	if resp == nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("parallel alias: status = %d, want 200", resp.StatusCode)
+	}
+	if alias.Served != "cache" {
+		t.Errorf("parallel alias served = %q, want cache (same entry as the calendar request)", alias.Served)
+	}
+	if alias.Request.Sched != "calendar" || alias.Result.Config.Sched != machine.SchedCalendar {
+		t.Errorf("parallel alias echoes sched %q, config sched %v, want calendar", alias.Request.Sched, alias.Result.Config.Sched)
 	}
 }
 

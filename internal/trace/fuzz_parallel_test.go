@@ -16,9 +16,9 @@ import (
 // lease discipline: every well-formed decoded trace must produce the
 // polling loop's result, bit for bit, under the lease-free calendar —
 // over sources wrapped in trace.Func, which cannot rewind, so no lease is
-// taken — under the default calendar, which leases inline, and under
-// SchedParallel at a worker count (and GOMAXPROCS) derived from the
-// input, with the invariant checker enabled in all four. Failure must
+// taken — under the default calendar, which leases inline, and under the
+// calendar at a worker count (and GOMAXPROCS) derived from the input,
+// with the invariant checker enabled in all four. Failure must
 // agree too: a run that fails under only some loops is a scheduler bug by
 // definition.
 func FuzzParallelSched(f *testing.F) {
@@ -96,7 +96,6 @@ func FuzzParallelSched(f *testing.F) {
 			leaseFree.Sources[i] = trace.Func(src.Next)
 		}
 		pcfg := cfg
-		pcfg.Sched = machine.SchedParallel
 		pcfg.Workers = 1 + len(data)%5 // 1..5: inline and pool paths both fuzzed
 		rcfg := cfg
 		rcfg.Sched = machine.SchedPolling
@@ -111,7 +110,7 @@ func FuzzParallelSched(f *testing.F) {
 		}{
 			{"lease-free calendar", leaseFree, cfg},
 			{"leased calendar", trace.BufferSet("fuzz", cpus), cfg},
-			{"parallel", trace.BufferSet("fuzz", cpus), pcfg},
+			{"pooled calendar", trace.BufferSet("fuzz", cpus), pcfg},
 		} {
 			got, err := machine.Run(run.set, run.cfg)
 			switch {

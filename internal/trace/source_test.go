@@ -269,7 +269,7 @@ func TestEventsMatchesDrain(t *testing.T) {
 }
 
 // The capability matrix: which of Marker/Rewinder/Cloner/Len each Source
-// wrapper must forward. SchedParallel eligibility hangs on Marker, the
+// wrapper must forward. The calendar's speculation hangs on Marker, the
 // trace cache on Cloner — a wrapper that silently drops or invents a
 // capability breaks them, so the matrix is pinned by type assertions.
 func TestSourceCapabilityMatrix(t *testing.T) {

@@ -157,17 +157,6 @@ func (g *Gen) Instr(n int) {
 	}
 }
 
-// Exec emits raw execution cycles with no instruction fetches — used for
-// the C traces' library-code stretches whose fetches MPTrace did not
-// attribute, and to pad cycle budgets precisely.
-func (g *Gen) Exec(cycles uint32) {
-	if cycles == 0 {
-		return
-	}
-	g.out.Add(trace.Exec(cycles))
-	g.VT += uint64(cycles)
-}
-
 // Load emits one data-load instruction referencing a.
 func (g *Gen) Load(a uint32) {
 	cyc := g.instrCycles()

@@ -73,11 +73,10 @@ func TestGenLoadStore(t *testing.T) {
 	g := NewGen(1, 7)
 	g.Load(0x1234)
 	g.Store(0x5678)
-	g.Exec(9)
 	coord := &Coordinator{Gens: []*Gen{g}}
 	set, _ := coord.Set("t")
 	evs := trace.Drain(set.Sources[0])
-	if len(evs) != 3 {
+	if len(evs) != 2 {
 		t.Fatalf("events = %v", evs)
 	}
 	if evs[0].Kind != trace.KindRead || evs[0].Addr != 0x1234 || evs[0].Arg == 0 {
@@ -85,9 +84,6 @@ func TestGenLoadStore(t *testing.T) {
 	}
 	if evs[1].Kind != trace.KindWrite || evs[1].Addr != 0x5678 {
 		t.Errorf("store = %v", evs[1])
-	}
-	if evs[2] != trace.Exec(9) {
-		t.Errorf("exec = %v", evs[2])
 	}
 }
 
@@ -145,9 +141,9 @@ func TestCoordinatorSetRejectsHeldLocks(t *testing.T) {
 
 func TestCoordinatorNextPicksMinVT(t *testing.T) {
 	c := NewCoordinator(3, 1)
-	c.Gens[0].Exec(100)
-	c.Gens[1].Exec(10)
-	c.Gens[2].Exec(50)
+	c.Gens[0].VT = 100
+	c.Gens[1].VT = 10
+	c.Gens[2].VT = 50
 	if got := c.Next(); got.CPU != 1 {
 		t.Fatalf("Next picked cpu %d, want 1", got.CPU)
 	}
