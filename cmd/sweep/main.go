@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -34,34 +35,43 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "Grav", "benchmark name")
-	param := flag.String("param", "ncpu", "swept parameter: ncpu, lock, memlat, bufdepth")
-	values := flag.String("values", "", "comma-separated sweep values")
-	lock := flag.String("lock", "queue", "lock algorithm (fixed unless swept)")
-	cons := flag.String("cons", "sc", "consistency model: sc or wo")
-	scale := flag.Float64("scale", 0.1, "workload scale")
-	seed := flag.Int64("seed", 1, "generation seed")
-	workers := flag.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-	runWorkers := flag.Int("workers", 0, "per-run helper goroutines for the speculative run-ahead (0/1 = inline)")
-	showMetrics := flag.Bool("metrics", false, "append the engine report as CSV comments")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "Grav", "benchmark name")
+	param := fs.String("param", "ncpu", "swept parameter: ncpu, lock, memlat, bufdepth")
+	values := fs.String("values", "", "comma-separated sweep values")
+	lock := fs.String("lock", "queue", "lock algorithm (fixed unless swept)")
+	cons := fs.String("cons", "sc", "consistency model: sc or wo")
+	scale := fs.Float64("scale", 0.1, "workload scale")
+	seed := fs.Int64("seed", 1, "generation seed")
+	workers := fs.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
+	runWorkers := fs.Int("workers", 0, "per-run helper goroutines for the speculative run-ahead (0/1 = inline)")
+	showMetrics := fs.Bool("metrics", false, "append the engine report as CSV comments")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *values == "" {
-		fatal(fmt.Errorf("need -values"))
+		return fmt.Errorf("need -values")
 	}
 	b, err := suite.ByName(*bench)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	baseCfg := machine.DefaultConfig()
-	if alg, err := parseLock(*lock); err != nil {
-		fatal(err)
-	} else {
-		baseCfg.Lock = alg
+	if baseCfg.Lock, err = locks.ParseAlgorithm(*lock); err != nil {
+		return err
 	}
-	if *cons == "wo" {
-		baseCfg.Consistency = machine.WeakOrdering
+	if baseCfg.Consistency, err = machine.ParseConsistency(*cons); err != nil {
+		return err
 	}
 	baseCfg.Workers = *runWorkers
 
@@ -75,31 +85,23 @@ func main() {
 		params := workload.Params{Scale: *scale, Seed: *seed}
 		switch *param {
 		case "ncpu":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				fatal(err)
+			if params.NCPU, err = strconv.Atoi(v); err != nil {
+				return err
 			}
-			params.NCPU = n
 		case "lock":
-			alg, err := parseLock(v)
-			if err != nil {
-				fatal(err)
+			if cfg.Lock, err = locks.ParseAlgorithm(v); err != nil {
+				return err
 			}
-			cfg.Lock = alg
 		case "memlat":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				fatal(err)
+			if cfg.Memory.AccessTime, err = strconv.ParseUint(v, 10, 64); err != nil {
+				return err
 			}
-			cfg.Memory.AccessTime = n
 		case "bufdepth":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				fatal(err)
+			if cfg.BufDepth, err = strconv.Atoi(v); err != nil {
+				return err
 			}
-			cfg.BufDepth = n
 		default:
-			fatal(fmt.Errorf("unknown sweep parameter %q", *param))
+			return fmt.Errorf("unknown sweep parameter %q", *param)
 		}
 		tasks = append(tasks, engine.Task{
 			Program: b.Program, Params: params, Label: v, Config: cfg,
@@ -113,43 +115,24 @@ func main() {
 	eng := engine.New(engine.Config{Workers: *workers})
 	results, report, err := eng.Run(ctx, tasks)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("# %s sweep of %s (scale %g, lock %v, %v)\n",
+	fmt.Fprintf(stdout, "# %s sweep of %s (scale %g, lock %v, %v)\n",
 		*param, *bench, *scale, baseCfg.Lock, baseCfg.Consistency)
-	fmt.Println("value,runtime_cycles,utilization_pct,lock_stall_pct,waiters,xfer_cycles,bus_pct")
+	fmt.Fprintln(stdout, "value,runtime_cycles,utilization_pct,lock_stall_pct,waiters,xfer_cycles,bus_pct")
 	for i, r := range results {
 		res := r.Result
 		_, lockPct, _ := res.StallBreakdown()
-		fmt.Printf("%s,%d,%.2f,%.2f,%.3f,%.2f,%.2f\n",
+		fmt.Fprintf(stdout, "%s,%d,%.2f,%.2f,%.3f,%.2f,%.2f\n",
 			labels[i], res.RunTime, 100*res.AvgUtilization(), lockPct,
 			res.Locks.AvgWaitersAtTransfer(), res.Locks.AvgTransferTime(),
 			100*res.BusUtilization())
 	}
 	if *showMetrics {
 		for _, line := range strings.Split(report.String(), "\n") {
-			fmt.Println("# " + line)
+			fmt.Fprintln(stdout, "# "+line)
 		}
 	}
-}
-
-func parseLock(s string) (locks.Algorithm, error) {
-	switch s {
-	case "queue":
-		return locks.Queue, nil
-	case "tts":
-		return locks.TTS, nil
-	case "queue-exact":
-		return locks.QueueExact, nil
-	case "tts-backoff":
-		return locks.TTSBackoff, nil
-	default:
-		return 0, fmt.Errorf("unknown lock algorithm %q", s)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
+	return nil
 }

@@ -151,25 +151,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	cfg := machine.DefaultConfig()
 	cfg.BufDepth = *bufDepth
 	cfg.Check = *checkRun
-	switch *lock {
-	case "queue":
-		cfg.Lock = locks.Queue
-	case "tts":
-		cfg.Lock = locks.TTS
-	case "queue-exact":
-		cfg.Lock = locks.QueueExact
-	case "tts-backoff":
-		cfg.Lock = locks.TTSBackoff
-	default:
-		return fmt.Errorf("unknown lock algorithm %q (want queue, tts, queue-exact, tts-backoff)", *lock)
+	if cfg.Lock, err = locks.ParseAlgorithm(*lock); err != nil {
+		return err
 	}
-	switch *cons {
-	case "sc":
-		cfg.Consistency = machine.SeqConsistent
-	case "wo":
-		cfg.Consistency = machine.WeakOrdering
-	default:
-		return fmt.Errorf("unknown consistency model %q (want sc or wo)", *cons)
+	if cfg.Consistency, err = machine.ParseConsistency(*cons); err != nil {
+		return err
 	}
 	cfg.Workers = *schedWorkers
 

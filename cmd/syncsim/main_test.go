@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"syncsim/internal/trace"
 )
 
 // readWholeGzip decodes an entire gzip stream, failing on truncation. pprof
@@ -83,12 +85,23 @@ func TestSuccessfulRunWritesProfiles(t *testing.T) {
 // TestRunUnknownFlagVariants covers the other early-error paths that used
 // to os.Exit: they must now return ordinary errors.
 func TestRunErrorPaths(t *testing.T) {
+	// A trace whose only CPU releases a lock it never took: the machine
+	// would panic on it, so loading it must fail instead.
+	unlock := filepath.Join(t.TempDir(), "unlock.trc")
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, "unlock", [][]trace.Event{{trace.Unlock(1, 0x40), trace.End()}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(unlock, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{}, // no -bench/-trace/-arch
 		{"-bench", "Grav", "-lock", "bogus"},
 		{"-bench", "Grav", "-cons", "bogus"},
 		{"-bench", "Grav", "-sched", "polling"}, // no CLI selects the reference loop
 		{"-trace", filepath.Join(t.TempDir(), "missing.trc")},
+		{"-trace", unlock},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -76,14 +76,6 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantKey{}, tenant)
 }
 
-// TenantFrom extracts the tenant stamped by WithTenant, if any. The
-// fleet coordinator uses it to re-stamp a coalesced job's context with
-// the leading caller's tenant.
-func TenantFrom(ctx context.Context) (string, bool) {
-	t, ok := ctx.Value(tenantKey{}).(string)
-	return t, ok && t != ""
-}
-
 // Config parameterises a Client; zero values select production defaults.
 type Config struct {
 	// HTTPClient performs the requests; nil selects a client with a 0
@@ -260,7 +252,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if tenant, ok := TenantFrom(ctx); ok {
+	if tenant, _ := ctx.Value(tenantKey{}).(string); tenant != "" {
 		req.Header.Set(api.HeaderTenant, tenant)
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)

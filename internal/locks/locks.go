@@ -52,6 +52,17 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm returns the algorithm whose String is name: the inverse of
+// String over the defined algorithms.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for a := Queue; a <= TTSBackoff; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown lock %q (want queue, tts, queue-exact, tts-backoff)", name)
+}
+
 // IsQueue reports whether the algorithm uses FIFO queue-based hand-off.
 func (a Algorithm) IsQueue() bool { return a == Queue || a == QueueExact }
 

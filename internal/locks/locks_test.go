@@ -15,6 +15,19 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithm(t *testing.T) {
+	for _, a := range []Algorithm{Queue, TTS, QueueExact, TTSBackoff} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a, got, err, a)
+		}
+	}
+	for _, name := range []string{"bogus", "QUEUE", "Algorithm(4)", ""} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestUncontendedAcquireRelease(t *testing.T) {
 	m := NewManager()
 	if !m.Request(0, 1, 0x40, 100) {

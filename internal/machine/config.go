@@ -44,6 +44,17 @@ func (c Consistency) String() string {
 	}
 }
 
+// ParseConsistency returns the model whose String is name: the inverse of
+// String over the defined models.
+func ParseConsistency(name string) (Consistency, error) {
+	for c := SeqConsistent; c <= WeakOrdering; c++ {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown cons %q (want sc or wo)", name)
+}
+
 // SchedKind selects the simulation-loop scheduler. Both schedulers are
 // cycle-exact — they produce bit-identical results — and differ only in
 // how they find the work of each simulated cycle.

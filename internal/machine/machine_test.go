@@ -66,6 +66,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestParseConsistency(t *testing.T) {
+	for _, c := range []Consistency{SeqConsistent, WeakOrdering} {
+		if got, err := ParseConsistency(c.String()); err != nil || got != c {
+			t.Errorf("ParseConsistency(%q) = %v, %v; want %v", c, got, err, c)
+		}
+	}
+	for _, name := range []string{"bogus", "WO", "Consistency(2)", ""} {
+		if _, err := ParseConsistency(name); err == nil {
+			t.Errorf("ParseConsistency(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestNewRejectsEmptySet(t *testing.T) {
 	if _, err := New(trace.BufferSet("e", nil), DefaultConfig()); err == nil {
 		t.Fatal("accepted empty trace set")

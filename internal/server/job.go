@@ -52,27 +52,17 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 	}
 
 	cfg := machine.DefaultConfig()
-	switch req.Lock {
-	case "", "queue":
-		req.Lock = "queue"
-		cfg.Lock = locks.Queue
-	case "tts":
-		cfg.Lock = locks.TTS
-	case "queue-exact":
-		cfg.Lock = locks.QueueExact
-	case "tts-backoff":
-		cfg.Lock = locks.TTSBackoff
-	default:
-		return simJob{}, fmt.Errorf("unknown lock %q (want queue, tts, queue-exact, tts-backoff)", req.Lock)
+	if req.Lock == "" {
+		req.Lock = locks.Queue.String()
 	}
-	switch req.Cons {
-	case "", "sc":
-		req.Cons = "sc"
-		cfg.Consistency = machine.SeqConsistent
-	case "wo":
-		cfg.Consistency = machine.WeakOrdering
-	default:
-		return simJob{}, fmt.Errorf("unknown cons %q (want sc or wo)", req.Cons)
+	if cfg.Lock, err = locks.ParseAlgorithm(req.Lock); err != nil {
+		return simJob{}, err
+	}
+	if req.Cons == "" {
+		req.Cons = machine.SeqConsistent.String()
+	}
+	if cfg.Consistency, err = machine.ParseConsistency(req.Cons); err != nil {
+		return simJob{}, err
 	}
 	switch req.Sched {
 	case "", "calendar", "parallel": // "parallel": the calendar's former name

@@ -187,10 +187,9 @@ type Server struct {
 	draining   atomic.Bool
 	inflight   atomic.Int64 // job requests currently inside a handler
 
-	// execTasks and execSuite are the execution back ends; tests swap them
-	// to count runs and to gate completion.
+	// execTasks is the execution back end; tests swap it to count runs
+	// and to gate completion.
 	execTasks func(context.Context, []engine.Task) ([]engine.TaskResult, metrics.SuiteReport, error)
-	execSuite func(context.Context, core.Options) ([]*core.Outcome, error)
 
 	mux *http.ServeMux
 }
@@ -234,7 +233,6 @@ func New(cfg Config) *Server {
 	s.baseCancel = baseCancel
 	s.flights = flight.NewGroup[string, any](baseCtx)
 	s.execTasks = s.eng.Run
-	s.execSuite = core.RunSuiteCtx
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/sim", s.handleSim)
@@ -674,7 +672,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // and single simulations memoise the same traces.
 func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload, error) {
 	var suiteRep metrics.SuiteReport
-	outs, err := s.execSuite(ctx, core.Options{
+	outs, err := core.RunSuiteCtx(ctx, core.Options{
 		Scale:   job.req.Scale,
 		Seed:    job.req.Seed,
 		Models:  job.models,

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -27,23 +29,17 @@ func TestCodecRoundTripBasic(t *testing.T) {
 		sampleEvents(),
 		{Exec(100), Barrier(1), End()},
 		nil,
+		{Exec(1), End(), Exec(2)}, // stored up to its End, as Drain yields it
 	}
 	name, got := roundTrip(t, "bench", cpus)
 	if name != "bench" {
 		t.Errorf("name = %q, want bench", name)
 	}
-	if len(got) != 3 {
-		t.Fatalf("ncpu = %d, want 3", len(got))
+	if len(got) != len(cpus) {
+		t.Fatalf("ncpu = %d, want %d", len(got), len(cpus))
 	}
 	for i := range cpus {
-		want := cpus[i]
-		if want == nil {
-			want = []Event{}
-		}
-		if len(got[i]) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got[i], want) {
+		if want := Drain(NewBuffer(cpus[i])); !reflect.DeepEqual(got[i], want) {
 			t.Errorf("cpu %d: got %v, want %v", i, got[i], want)
 		}
 	}
@@ -127,6 +123,62 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// Property: each CPU's stored bytes are exactly what Compact.Add produces
+// for its events, and decoding them replays those events.
+func TestCodecStoresCompactRecords(t *testing.T) {
+	check := func(seed int64, ncpu uint8, perCPU uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cpus := make([][]Event, int(ncpu%8)+1)
+		for i := range cpus {
+			cpus[i] = compactEvents(rng, int(perCPU%512))
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, "prop", cpus); err != nil {
+			return false
+		}
+		set, err := decode(&buf)
+		if err != nil || set.NCPU() != len(cpus) {
+			return false
+		}
+		for i, src := range set.Sources {
+			c := src.(*CompactSource).c
+			want := compactOf(cpus[i])
+			if !bytes.Equal(c.buf, want.buf) || c.Len() != want.Len() || c.code != want.code || c.data != want.data {
+				return false
+			}
+			if !reflect.DeepEqual(Drain(src), Drain(want.NewSource())) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// DecodeSet refuses a trace the machine cannot run, while Decode still
+// reads its structure.
+func TestDecodeSetValidates(t *testing.T) {
+	cases := map[string][][]Event{
+		"unmatched unlock": {{Unlock(1, 0x40), End()}},
+		"uneven barriers":  {{Exec(1), Barrier(0), End()}, {Exec(1), End()}},
+	}
+	for name, cpus := range cases {
+		var buf bytes.Buffer
+		if err := Encode(&buf, name, cpus); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		var verr *ValidationError
+		if _, err := DecodeSet(&buf); !errors.As(err, &verr) {
+			t.Errorf("%s: DecodeSet err = %v, want a ValidationError", name, err)
+		}
+	}
+}
+
 func TestCodecRejectsBadMagic(t *testing.T) {
 	_, _, err := Decode(bytes.NewReader([]byte("NOPE\x01")))
 	if !errors.Is(err, ErrBadMagic) {
@@ -139,11 +191,16 @@ func TestCodecRejectsBadVersion(t *testing.T) {
 	if err := Encode(&buf, "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[4] = 99 // corrupt the version byte
-	_, _, err := Decode(bytes.NewReader(data))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
+	future := buf.Bytes()
+	future[4] = 99 // corrupt the version byte
+	// A version-1 container: one CPU of [Exec(48), Lock(1, 0x18), Exec(48),
+	// Barrier(48), End, Unlock(1, 0x30)] in the old per-event encoding.
+	v1 := []byte("SSTR\x01\t000000000\x01\x06\x000\x04\x010\x000\x060\a\x05\x010")
+	for _, data := range [][]byte{future, v1} {
+		_, _, err := Decode(bytes.NewReader(data))
+		if !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", data[4], err)
+		}
 	}
 }
 
@@ -162,16 +219,55 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestCodecRejectsInvalidKind(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, "k", [][]Event{{Exec(1)}}); err != nil {
-		t.Fatal(err)
+// container builds a version-2 container around raw per-CPU record bytes.
+func container(cpus ...[]byte) []byte {
+	data := append([]byte(codecMagic), codecVersion, 1, 'x')
+	data = binary.AppendUvarint(data, uint64(len(cpus)))
+	for _, records := range cpus {
+		data = binary.AppendUvarint(data, uint64(len(records)))
+		data = append(data, records...)
 	}
-	data := buf.Bytes()
-	data[len(data)-2] = 0xEE // stomp the kind byte of the only event
+	return data
+}
+
+// A CPU length far beyond the data fails as corrupt without the decoder
+// allocating that length.
+func TestCodecRejectsOverlongLength(t *testing.T) {
+	data := container([]byte{byte(KindExec) | 1<<3})
+	data = append(data[:len(data)-2], binary.AppendUvarint(nil, 1<<40)...)
+	data = append(data, byte(KindExec)|1<<3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	_, _, err := Decode(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a 1 TiB length field allocated %d bytes", grew)
+	}
+}
+
+// The record walker refuses what would send a cursor past its buffer or
+// out of a 32-bit field, and records an End would hide.
+func TestCodecRejectsBadRecords(t *testing.T) {
+	esc := byte(argEscape << 3)
+	cases := map[string][]byte{
+		"unterminated argument": {byte(KindExec) | esc, 0x80},
+		"missing address":       {byte(KindRead)},
+		"unterminated address":  {byte(KindIFetch), 0x80, 0x80},
+		"argument past 32 bits": append([]byte{byte(KindBarrier) | esc}, binary.AppendUvarint(nil, 1<<32)...),
+		"address past 32 bits":  append([]byte{byte(KindWrite)}, binary.AppendUvarint(nil, 1<<32)...),
+		"record after end":      {byte(KindExec) | 1<<3, byte(KindEnd), byte(KindExec) | 1<<3},
+	}
+	if _, _, err := Decode(bytes.NewReader(container([]byte{byte(KindEnd)}))); err != nil {
+		t.Fatalf("well-formed records refused: %v", err)
+	}
+	for name, records := range cases {
+		_, _, err := Decode(bytes.NewReader(container([]byte{byte(KindEnd)}, records)))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // broken up by the data references they interleave with. Exec, Barrier
 // and End records carry no address.
 //
-// This is the resident format only: the on-disk container (Encode,
-// Decode) has its own encoding.
+// The on-disk container (EncodeSet, DecodeSet) stores these records as-is,
+// so a trace read from a file replays in place.
 //
 // Append events with Add, then create any number of independent replay
 // cursors with NewSource.

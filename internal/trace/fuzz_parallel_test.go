@@ -1,12 +1,10 @@
 package trace_test
 
 import (
-	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"syncsim/internal/cache"
 	"syncsim/internal/locks"
 	"syncsim/internal/machine"
 	"syncsim/internal/trace"
@@ -17,86 +15,54 @@ import (
 // polling loop's result, bit for bit, under the lease-free calendar —
 // over sources wrapped in trace.Func, which cannot rewind, so no lease is
 // taken — under the default calendar, which leases inline, and under the
-// calendar at a worker count (and GOMAXPROCS) derived from the input,
+// calendar at the worker count the input names (and GOMAXPROCS 4),
 // with the invariant checker enabled in all four. Failure must
 // agree too: a run that fails under only some loops is a scheduler bug by
 // definition.
 func FuzzParallelSched(f *testing.F) {
-	add := func(name string, cpus [][]trace.Event) {
-		var buf bytes.Buffer
-		if err := trace.Encode(&buf, name, cpus); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	add := func(name string, cpus [][]trace.Event, lock locks.Algorithm, cons machine.Consistency, workers int) {
+		f.Add(fuzzSeed(f, name, cpus), uint8(lock), cons == machine.WeakOrdering, uint8(workers-1))
 	}
 	const lk = 0x2000_0040
 	add("contended", [][]trace.Event{
 		{trace.Exec(3), trace.Lock(1, lk), trace.Exec(20), trace.Unlock(1, lk), trace.Barrier(1), trace.End()},
 		{trace.Lock(1, lk), trace.Exec(10), trace.Unlock(1, lk), trace.Barrier(1), trace.End()},
-	})
+	}, locks.QueueExact, machine.SeqConsistent, 1)
 	add("sharing", [][]trace.Event{
 		{trace.Read(0x1000), trace.Write(0x1000), trace.Read(0x2000), trace.End()},
 		{trace.Read(0x1000), trace.Write(0x2000), trace.ReadAfter(0x1000, 4), trace.End()},
-	})
+	}, locks.QueueExact, machine.SeqConsistent, 3)
 	add("speculative", [][]trace.Event{
 		{trace.Exec(40), trace.Read(0x1000), trace.Read(0x1010), trace.Read(0x1020), trace.Write(0x1000), trace.End()},
 		{trace.Read(0x1000), trace.Exec(5), trace.Write(0x1000), trace.Exec(30), trace.Read(0x1010), trace.End()},
-	})
+	}, locks.TTSBackoff, machine.WeakOrdering, 2)
 	// Zero-length bursts right after a blocking event completes in the
 	// same step: the last arrival at a barrier, and a test-and-set lock
-	// taken on a line the processor already owns (this input's length
-	// selects TTS under weak ordering).
+	// taken on a line the processor already owns.
 	add("zero burst", [][]trace.Event{
 		{trace.Exec(3), trace.Barrier(0), trace.Exec(0), trace.Exec(5), trace.End()},
 		{trace.Barrier(0), trace.End()},
-	})
+	}, locks.TTSBackoff, machine.WeakOrdering, 2)
 	add("relock on owned line", [][]trace.Event{
 		{trace.Lock(1, lk), trace.Unlock(1, lk), trace.Lock(1, lk), trace.Exec(0), trace.Exec(5), trace.Unlock(1, lk), trace.End()},
 		{trace.Exec(40), trace.Read(0x1000), trace.Exec(0), trace.Exec(3), trace.End()},
-	})
+	}, locks.TTS, machine.WeakOrdering, 2)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, cpus, err := trace.Decode(bytes.NewReader(data))
-		if err != nil {
+	f.Fuzz(func(t *testing.T, data []byte, lock uint8, wo bool, workers uint8) {
+		cpus, ok := fuzzTrace(data)
+		if !ok {
 			return
 		}
-		if len(cpus) == 0 || len(cpus) > fuzzMaxCPUs {
-			return
-		}
-		events, work := 0, uint64(0)
-		for _, evs := range cpus {
-			events += len(evs)
-			for _, ev := range evs {
-				if ev.Kind == trace.KindExec {
-					work += uint64(ev.Arg)
-				}
-			}
-		}
-		if events > fuzzMaxEvents || work > fuzzMaxWork {
-			return
-		}
-		if !runnable(cpus) {
-			return
-		}
-
-		cfg := machine.DefaultConfig()
-		cfg.Cache = cache.Config{Size: 512, LineSize: 16, Assoc: 1}
-		cfg.Check = true
-		cfg.MaxCycles = 5_000_000
-		algs := []locks.Algorithm{locks.Queue, locks.TTS, locks.QueueExact, locks.TTSBackoff}
-		cfg.Lock = algs[len(data)%len(algs)]
-		if len(data)%2 == 1 {
-			cfg.Consistency = machine.WeakOrdering
-		}
+		cfg := fuzzConfig(lock, wo)
 
 		leaseFree := trace.BufferSet("fuzz", cpus)
 		for i, src := range leaseFree.Sources {
 			leaseFree.Sources[i] = trace.Func(src.Next)
 		}
 		pcfg := cfg
-		pcfg.Workers = 1 + len(data)%5 // 1..5: inline and pool paths both fuzzed
+		pcfg.Workers = 1 + int(workers%5) // 1..5: inline and pool paths both fuzzed
 		rcfg := cfg
 		rcfg.Sched = machine.SchedPolling
 

@@ -4,13 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
-// Text trace format, for debugging and hand-written test inputs.
+// Text trace format: a human-readable dump for debugging (tracegen -text).
+// Nothing reads it back; the binary container is the one stored form.
 //
-//	# comment
 //	trace <name> <ncpu>
 //	cpu <n>
 //	exec <cycles>
@@ -22,11 +21,12 @@ import (
 //	barrier <id>
 //	end
 //
-// Addresses accept 0x-prefixed hex or decimal.
+// Addresses are written in 0x-prefixed hex.
 
 // WriteText encodes a multi-processor trace in the human-readable text
-// format. The name is sanitised to a single whitespace-free token so the
-// output always re-parses (the binary container preserves names exactly).
+// format. The name is sanitised to a single whitespace-free token so each
+// line stays whitespace-delimited (the binary container preserves names
+// exactly).
 func WriteText(w io.Writer, name string, cpus [][]Event) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "trace %s %d\n", sanitizeName(name), len(cpus))
@@ -47,134 +47,4 @@ func sanitizeName(name string) string {
 		return "unnamed"
 	}
 	return name
-}
-
-// ReadText parses the text trace format.
-func ReadText(r io.Reader) (name string, cpus [][]Event, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	cur := -1
-	ncpu := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "trace":
-			if len(fields) != 3 {
-				return "", nil, textErr(lineNo, "want: trace <name> <ncpu>")
-			}
-			name = fields[1]
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return "", nil, textErr(lineNo, "bad cpu count %q", fields[2])
-			}
-			ncpu = n
-			cpus = make([][]Event, n)
-		case "cpu":
-			if len(fields) != 2 {
-				return "", nil, textErr(lineNo, "want: cpu <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 || n >= ncpu {
-				return "", nil, textErr(lineNo, "cpu index %q out of range [0,%d)", fields[1], ncpu)
-			}
-			cur = n
-		default:
-			if cur < 0 {
-				return "", nil, textErr(lineNo, "event before any cpu directive")
-			}
-			ev, err := parseTextEvent(fields)
-			if err != nil {
-				return "", nil, textErr(lineNo, "%v", err)
-			}
-			cpus[cur] = append(cpus[cur], ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", nil, err
-	}
-	return name, cpus, nil
-}
-
-func parseTextEvent(fields []string) (Event, error) {
-	switch fields[0] {
-	case "exec":
-		if len(fields) != 2 {
-			return Event{}, fmt.Errorf("want: exec <cycles>")
-		}
-		n, err := parseU32(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		return Exec(n), nil
-	case "ifetch", "read", "write":
-		if len(fields) != 2 && len(fields) != 3 {
-			return Event{}, fmt.Errorf("want: %s <addr> [pre-cycles]", fields[0])
-		}
-		addr, err := parseU32(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		var pre uint32
-		if len(fields) == 3 {
-			pre, err = parseU32(fields[2])
-			if err != nil {
-				return Event{}, err
-			}
-		}
-		switch fields[0] {
-		case "ifetch":
-			return IFetchAfter(pre, addr), nil
-		case "read":
-			return ReadAfter(pre, addr), nil
-		default:
-			return WriteAfter(pre, addr), nil
-		}
-	case "lock", "unlock":
-		if len(fields) != 3 {
-			return Event{}, fmt.Errorf("want: %s <id> <addr>", fields[0])
-		}
-		id, err := parseU32(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		addr, err := parseU32(fields[2])
-		if err != nil {
-			return Event{}, err
-		}
-		if fields[0] == "lock" {
-			return Lock(id, addr), nil
-		}
-		return Unlock(id, addr), nil
-	case "barrier":
-		if len(fields) != 2 {
-			return Event{}, fmt.Errorf("want: barrier <id>")
-		}
-		id, err := parseU32(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		return Barrier(id), nil
-	case "end":
-		return End(), nil
-	default:
-		return Event{}, fmt.Errorf("unknown event %q", fields[0])
-	}
-}
-
-func parseU32(s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 0, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
-	}
-	return uint32(v), nil
-}
-
-func textErr(line int, format string, args ...any) error {
-	return fmt.Errorf("trace: text line %d: %s", line, fmt.Sprintf(format, args...))
 }

@@ -18,7 +18,7 @@ func (e *ValidationError) Error() string {
 
 // Validate checks that every per-CPU trace is well formed:
 //
-//   - every event kind is defined and Exec events have non-zero cycles;
+//   - every event kind is defined;
 //   - unlocks match a lock currently held by the same CPU, and a CPU never
 //     acquires a lock it already holds (self-deadlock under any sane lock);
 //   - all locks are released by the end of the trace;
@@ -27,26 +27,34 @@ func (e *ValidationError) Error() string {
 //     uneven join counts deadlock);
 //   - a lock id is always associated with the same lock-word address.
 //
-// An End event ends its CPU's trace: every Source stops there, so the
-// events stored after it are never consumed and are not checked.
+// A zero-length burst (Exec(0)) is allowed: every run loop rounds it up to
+// the next cycle. An End event ends its CPU's trace: every Source stops
+// there, so the events stored after it are never consumed and are not
+// checked.
 //
-// It drains the provided event slices (not Sources) so callers can keep the
-// data. It returns all violations found, joined, or nil.
+// It reads the provided event slices without consuming them. It returns all
+// violations found, joined, or nil.
 func Validate(cpus [][]Event) error {
+	return validate(BufferSet("", cpus).Sources)
+}
+
+// validate applies Validate's rules to sources, walking them one CPU at a
+// time. It consumes the sources.
+func validate(sources []Source) error {
 	var errs []error
 	lockAddr := map[uint32]uint32{}    // lock id → address
 	barrierJoins := map[uint32][]int{} // barrier id → joins per cpu index
-	for cpu, events := range cpus {
+	for cpu, src := range sources {
 		held := map[uint32]int{} // lock id → hold depth (should stay ≤1)
-		for i, ev := range events {
-			if ev.Kind == KindEnd {
+		i := 0
+		for ; ; i++ {
+			ev, ok := src.Next()
+			if !ok || ev.Kind == KindEnd {
 				break
 			}
 			switch {
 			case !ev.Kind.Valid():
 				errs = append(errs, &ValidationError{cpu, i, fmt.Sprintf("invalid kind %d", ev.Kind)})
-			case ev.Kind == KindExec && ev.Arg == 0:
-				errs = append(errs, &ValidationError{cpu, i, "exec event with zero cycles"})
 			case ev.Kind == KindLock:
 				if held[ev.Arg] > 0 {
 					errs = append(errs, &ValidationError{cpu, i, fmt.Sprintf("lock %d acquired while already held (self-deadlock)", ev.Arg)})
@@ -64,7 +72,7 @@ func Validate(cpus [][]Event) error {
 					held[ev.Arg]--
 				}
 			case ev.Kind == KindBarrier:
-				for len(barrierJoins[ev.Arg]) < len(cpus) {
+				for len(barrierJoins[ev.Arg]) < len(sources) {
 					barrierJoins[ev.Arg] = append(barrierJoins[ev.Arg], 0)
 				}
 				barrierJoins[ev.Arg][cpu]++
@@ -72,7 +80,7 @@ func Validate(cpus [][]Event) error {
 		}
 		for id, depth := range held {
 			if depth > 0 {
-				errs = append(errs, &ValidationError{cpu, len(events), fmt.Sprintf("lock %d still held at end of trace", id)})
+				errs = append(errs, &ValidationError{cpu, i, fmt.Sprintf("lock %d still held at end of trace", id)})
 			}
 		}
 	}

@@ -51,9 +51,6 @@ func IsPrivate(a uint32) bool { return a >= PrivBase && a < SharedBase }
 // IsLock reports whether an address is a lock word.
 func IsLock(a uint32) bool { return a >= LockBase }
 
-// LockID recovers the lock id from a lock-word address laid out by Lock.
-func LockID(a uint32) uint32 { return (a - LockBase) / LockStride }
-
 // PackedLock returns the lock-word address of id under a deliberately bad
 // layout: four-byte stride, so four lock words share one 16-byte cache
 // line. The what-if replay service uses it to simulate the false-sharing
