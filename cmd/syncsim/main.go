@@ -8,7 +8,7 @@
 //	syncsim -trace prog.trc [-lock tts] [-cons wo]
 //	syncsim -bench Pdsa -metrics   # per-phase wall time and throughput
 //	syncsim -bench Qsort -check    # run with the invariant checker enabled
-//	syncsim -bench Grav -scale 1 -stream -membudget 56   # O(ring) memory
+//	syncsim -bench Pverify -scale 1 -stream -membudget 32   # O(ring) memory
 //	syncsim -arch      # print the modelled architecture (the paper's Figure 1)
 //
 // With -stream the trace is not materialised: generation runs concurrently
@@ -30,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"runtime/pprof"
 	"sort"
 	"sync/atomic"
@@ -65,10 +66,18 @@ const archDiagram = `Modelled architecture (paper Figure 1, Sequent Symmetry Mod
 Uncontended miss: 1 (request) + 3 (memory) + 2 (line transfer) = 6 cycles.
 Cache-to-cache supply: 3 cycles. Upgrade invalidation: 1 cycle.`
 
-// heapSampler polls runtime.ReadMemStats on its own goroutine and tracks
-// the HeapAlloc high-water mark. Sampling (rather than reading MemStats
-// once at the end) is what catches a transient materialised-trace peak
-// that a post-run GC would hide.
+// heapObjects is the runtime/metrics name of the bytes held by heap
+// objects, live or not yet swept: the figure MemStats reports as HeapAlloc.
+const heapObjects = "/memory/classes/heap/objects:bytes"
+
+// heapSampler reads heapObjects every millisecond on its own goroutine and
+// tracks the high-water mark. Sampling (rather than reading once at the
+// end) is what catches a transient materialised-trace peak that a
+// post-run GC would hide. runtime/metrics reads the figure without
+// ReadMemStats' stop-the-world pause, so a 1 ms period costs the run
+// little. The peak still moves from run to run with where the
+// collector's cycles fall: it is the heap's real high-water mark, not a
+// sampling miss.
 type heapSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -79,16 +88,20 @@ func startHeapSampler() *heapSampler {
 	s := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		t := time.NewTicker(10 * time.Millisecond)
+		t := time.NewTicker(time.Millisecond)
 		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > s.peak.Load() {
-				s.peak.Store(ms.HeapAlloc)
+		sample := []rtmetrics.Sample{{Name: heapObjects}}
+		read := func() {
+			rtmetrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > s.peak.Load() {
+				s.peak.Store(v)
 			}
+		}
+		for {
+			read()
 			select {
 			case <-s.stop:
+				read()
 				return
 			case <-t.C:
 			}
@@ -98,8 +111,8 @@ func startHeapSampler() *heapSampler {
 }
 
 // stopAndPeak halts the sampler and returns the observed peak in bytes.
-// It takes one final sample on the way out so short runs (faster than one
-// ticker period) still report something.
+// The sampler reads once more on the way out, so short runs (faster than
+// one ticker period) still report their final heap.
 func (s *heapSampler) stopAndPeak() uint64 {
 	close(s.stop)
 	<-s.done

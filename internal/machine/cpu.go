@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"syncsim/internal/cache"
@@ -251,6 +252,23 @@ func (c *cpu) deferEvent(ev trace.Event) {
 	c.replayEv = ev
 }
 
+// ErrLockMisuse is wrapped by the error a run ends with when a processor's
+// trace releases a lock it does not hold or acquires a lock it already
+// holds, the two per-processor lock rules trace.Validate states. Traces
+// built in code or streamed reach the machine unvalidated, so the machine
+// checks these rules itself as each lock event is processed.
+var ErrLockMisuse = errors.New("machine: trace misuses a lock")
+
+// misuseLock records the lock rule c's trace broke; the run loops end the
+// run with it once the current sweep completes. It returns false, leaving
+// the processor where it stopped.
+func (m *Machine) misuseLock(c *cpu, now uint64, format string, id uint32) bool {
+	if m.lockErr == nil {
+		m.lockErr = fmt.Errorf("%w: %s: cpu %d at cycle %d: "+format, ErrLockMisuse, m.name, c.id, now, id)
+	}
+	return false
+}
+
 // processEvent interprets one trace event. It returns true if the processor
 // can continue consuming events at the same cycle, false if it blocked.
 func (m *Machine) processEvent(c *cpu, ev trace.Event, now uint64) bool {
@@ -276,6 +294,9 @@ func (m *Machine) processEvent(c *cpu, ev trace.Event, now uint64) bool {
 		return m.access(c, ev, ev.Kind == trace.KindWrite, now)
 
 	case trace.KindLock:
+		if m.locks.Owner(ev.Arg) == c.id {
+			return m.misuseLock(c, now, "lock %d acquired while already held (self-deadlock)", ev.Arg)
+		}
 		if m.cfg.Consistency == WeakOrdering && !c.buf.empty() {
 			c.beginStall(causeDrain, now)
 			c.deferEvent(ev)
@@ -294,6 +315,9 @@ func (m *Machine) processEvent(c *cpu, ev trace.Event, now uint64) bool {
 		return m.ttsTest(c, now)
 
 	case trace.KindUnlock:
+		if m.locks.Owner(ev.Arg) != c.id {
+			return m.misuseLock(c, now, "unlock of lock %d which it does not hold", ev.Arg)
+		}
 		if m.cfg.Consistency == WeakOrdering && !c.buf.empty() {
 			c.beginStall(causeDrain, now)
 			c.deferEvent(ev)

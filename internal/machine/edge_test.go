@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"syncsim/internal/locks"
@@ -269,5 +270,51 @@ func TestDepthOneBufferFullWorkload(t *testing.T) {
 	res := run(t, cfg, "depth1full", cs, cs, cs)
 	if res.Locks.Acquisitions != 3 {
 		t.Fatalf("acquisitions = %d", res.Locks.Acquisitions)
+	}
+}
+
+// A trace that breaks a per-processor lock rule of trace.Validate (an
+// unlock of a lock the processor does not hold, a lock of one it already
+// holds) ends the run with ErrLockMisuse instead of a lock-manager panic,
+// under every run loop, lock algorithm and consistency model. Traces built
+// in code and streamed traces reach the machine without Validate.
+func TestLockMisuseEndsRun(t *testing.T) {
+	const lk = 0x40
+	traces := map[string][][]trace.Event{
+		"unlock": {{trace.Unlock(1, lk)}},
+		"relock": {{trace.Lock(1, lk), trace.Lock(1, lk)}},
+		"double unlock": {
+			{trace.Write(0x1000), trace.Exec(20), trace.Lock(1, lk), trace.Exec(10), trace.Unlock(1, lk), trace.Read(0x2000), trace.Unlock(1, lk)},
+			{trace.Read(0x1000), trace.Exec(30), trace.Read(0x3000), trace.Exec(5)},
+		},
+		"unlock of another's lock": {
+			{trace.Lock(1, lk), trace.Exec(50), trace.Unlock(1, lk)},
+			{trace.Exec(30), trace.Unlock(1, lk)},
+		},
+	}
+	loops := map[string]func(*Config, *trace.Set){
+		"calendar":            func(*Config, *trace.Set) {},
+		"calendar, 2 workers": func(cfg *Config, _ *trace.Set) { cfg.Workers = 2 },
+		"polling":             func(cfg *Config, _ *trace.Set) { cfg.Sched = SchedPolling },
+		"lease-free calendar": func(_ *Config, set *trace.Set) {
+			for i, src := range set.Sources {
+				set.Sources[i] = trace.Func(src.Next) // cannot rewind: no leases
+			}
+		},
+	}
+	for name, cpus := range traces {
+		for loop, setup := range loops {
+			for _, alg := range []locks.Algorithm{locks.Queue, locks.TTS, locks.QueueExact, locks.TTSBackoff} {
+				for _, cons := range []Consistency{SeqConsistent, WeakOrdering} {
+					cfg := defCfg()
+					cfg.Lock, cfg.Consistency = alg, cons
+					set := trace.BufferSet(name, cpus)
+					setup(&cfg, set)
+					if _, err := Run(set, cfg); !errors.Is(err, ErrLockMisuse) {
+						t.Errorf("%s, %s, %s/%s: err = %v, want ErrLockMisuse", name, loop, alg, cons, err)
+					}
+				}
+			}
+		}
 	}
 }

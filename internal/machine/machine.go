@@ -91,6 +91,9 @@ type Machine struct {
 	entryID   uint64
 	now       uint64
 	droppedWB uint64
+	// lockErr, once set, ends the run after the current phase-B sweep:
+	// a trace broke a lock rule (see ErrLockMisuse).
+	lockErr error
 
 	// sched is the wakeup calendar; nil under SchedPolling, in which case
 	// every scheduler hook is a no-op and the original loop runs.
@@ -344,6 +347,9 @@ func (m *Machine) runPolling(ctx context.Context) error {
 				progress = true
 			}
 		}
+		if m.lockErr != nil {
+			return m.lockErr
+		}
 
 		// Phase C: arbitration. With every buffer empty and no queued
 		// memory response there is no possible grantee, and a grantless
@@ -463,6 +469,9 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 			for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
 				s.unmark(id)
 				m.sweepCPU(id, &progress)
+			}
+			if m.lockErr != nil {
+				return m.lockErr // every dispatched advance was joined in the sweep
 			}
 			if s.ndirty > 0 {
 				s.pushTime(m.now + 1)

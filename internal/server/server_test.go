@@ -237,6 +237,10 @@ func TestCoalescing(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 8
 	var wg sync.WaitGroup
 	served := make([]string, n)
@@ -255,8 +259,11 @@ func TestCoalescing(t *testing.T) {
 		}(i)
 	}
 
-	// Let all N requests pile onto the flight before releasing the one run.
-	waitFor(t, "all requests in flight", func() bool { return s.InFlight() == n })
+	// Let all N requests join the flight before releasing the one run. A
+	// request counts in InFlight from the moment the handler admits it,
+	// before it decodes its body and joins, so only the flight's own
+	// waiter count says that no request can still start a second run.
+	waitFor(t, "all requests joined the flight", func() bool { return s.flights.Waiters(job.key) == n })
 	close(gate)
 	wg.Wait()
 

@@ -14,7 +14,7 @@ import (
 // Layout (all multi-byte integers are unsigned LEB128 varints):
 //
 //	magic   "SSTR" (4 bytes)
-//	version u8 (currently 2)
+//	version u8 (currently 3)
 //	name    varint length + bytes
 //	ncpu    varint
 //	ncpu ×:
@@ -23,11 +23,13 @@ import (
 //
 // Each CPU's events are stored exactly as a Compact holds them in memory
 // (see Compact for the record format), up to and including its first End.
-// Version 1 stored a separate per-event encoding; it is refused with
-// ErrBadVersion, and tracegen rewrites any such file from its parameters.
+// Older versions are refused with ErrBadVersion, and tracegen rewrites any
+// such file from its parameters: version 1 stored a separate per-event
+// encoding, and version 2 stored Compact records without the one-byte
+// next-word fetch, whose header values meant inline arguments there.
 const (
 	codecMagic   = "SSTR"
-	codecVersion = 2
+	codecVersion = 3
 )
 
 // Common codec errors.
@@ -196,6 +198,10 @@ func walkRecords(buf []byte) (*Compact, error) {
 	for pos := 0; pos < len(buf); c.n++ {
 		h := buf[pos]
 		pos++
+		if Kind(h&7) == KindIFetch && h>>3 >= argNextWord && h>>3 < argEscape {
+			c.code += 4 // next-word fetch: no fields
+			continue
+		}
 		var err error
 		if h>>3 == argEscape {
 			if _, pos, err = field(pos); err != nil {

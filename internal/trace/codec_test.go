@@ -196,7 +196,11 @@ func TestCodecRejectsBadVersion(t *testing.T) {
 	// A version-1 container: one CPU of [Exec(48), Lock(1, 0x18), Exec(48),
 	// Barrier(48), End, Unlock(1, 0x30)] in the old per-event encoding.
 	v1 := []byte("SSTR\x01\t000000000\x01\x06\x000\x04\x010\x000\x060\a\x05\x010")
-	for _, data := range [][]byte{future, v1} {
+	// A version-2 container: one CPU of [IFetchAfter(16, 0x100),
+	// IFetchAfter(2, 0x104), End], as the version-2 encoder wrote it. Read
+	// as version 3, its first header would be a next-word fetch.
+	v2 := []byte("SSTR\x02\x02v2\x01\x06\x81\x80\x04\x11\b\a")
+	for _, data := range [][]byte{future, v1, v2} {
 		_, _, err := Decode(bytes.NewReader(data))
 		if !errors.Is(err, ErrBadVersion) {
 			t.Errorf("version %d: err = %v, want ErrBadVersion", data[4], err)
@@ -219,7 +223,8 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-// container builds a version-2 container around raw per-CPU record bytes.
+// container builds a current-version container around raw per-CPU record
+// bytes.
 func container(cpus ...[]byte) []byte {
 	data := append([]byte(codecMagic), codecVersion, 1, 'x')
 	data = binary.AppendUvarint(data, uint64(len(cpus)))
@@ -256,6 +261,7 @@ func TestCodecRejectsBadRecords(t *testing.T) {
 		"unterminated argument": {byte(KindExec) | esc, 0x80},
 		"missing address":       {byte(KindRead)},
 		"unterminated address":  {byte(KindIFetch), 0x80, 0x80},
+		"fetch missing address": {byte(KindIFetch) | (argNextWord-1)<<3},
 		"argument past 32 bits": append([]byte{byte(KindBarrier) | esc}, binary.AppendUvarint(nil, 1<<32)...),
 		"address past 32 bits":  append([]byte{byte(KindWrite)}, binary.AppendUvarint(nil, 1<<32)...),
 		"record after end":      {byte(KindExec) | 1<<3, byte(KindEnd), byte(KindExec) | 1<<3},
@@ -268,6 +274,26 @@ func TestCodecRejectsBadRecords(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// A stream may end in a next-word fetch, a record with no fields: the
+// walker counts it and advances the fetch predictor, and it replays.
+func TestCodecEndsInNextWordFetch(t *testing.T) {
+	set, err := decode(bytes.NewReader(container([]byte{byte(KindIFetch) | (argNextWord+2)<<3})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := set.Sources[0].(*CompactSource).c
+	if c.Len() != 1 || c.code != 4 {
+		t.Errorf("walked %d records with fetch predictor %#x, want 1 and 0x4", c.Len(), c.code)
+	}
+	if got, want := Drain(set.Sources[0]), []Event{IFetchAfter(2, 4)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replay = %v, want %v", got, want)
+	}
+	events := []Event{Exec(3), IFetch(0x100), IFetchAfter(5, 0x104)}
+	if _, got := roundTrip(t, "tail", [][]Event{events}); !reflect.DeepEqual(got[0], events) {
+		t.Errorf("round trip = %v, want %v", got[0], events)
 	}
 }
 
@@ -290,9 +316,8 @@ func TestWriteSetReadSet(t *testing.T) {
 }
 
 func TestCodecCompactness(t *testing.T) {
-	// Sequential ifetch addresses should delta-encode to ~2-3 bytes per
-	// event; sanity-check the container is far smaller than the naive
-	// 9-byte-per-event encoding.
+	// Sequential ifetch addresses are next-word records: the container
+	// stores one byte per event, plus its header and the opening jump.
 	events := make([]Event, 0, 10000)
 	addr := uint32(0x1000)
 	for i := 0; i < 10000; i++ {
@@ -303,7 +328,7 @@ func TestCodecCompactness(t *testing.T) {
 	if err := Encode(&buf, "compact", [][]Event{events}); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() > 4*len(events) {
-		t.Fatalf("container is %d bytes for %d events; delta encoding broken?", buf.Len(), len(events))
+	if buf.Len() > len(events)+32 {
+		t.Fatalf("container is %d bytes for %d events; next-word records broken?", buf.Len(), len(events))
 	}
 }

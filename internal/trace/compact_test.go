@@ -11,7 +11,8 @@ import (
 func TestCompactRoundTrip(t *testing.T) {
 	events := []Event{
 		Exec(10), ReadAfter(3, 0x1000), WriteAfter(0, 0x2000),
-		IFetchAfter(2, 0x100), Lock(1, 0x9000), Exec(5), Unlock(1, 0x9000),
+		IFetchAfter(2, 0x100), IFetchAfter(14, 0x104), IFetchAfter(15, 0x108),
+		IFetchAfter(0, 0x10C), Lock(1, 0x9000), Exec(5), Unlock(1, 0x9000),
 		Barrier(2),
 	}
 	var c Compact
@@ -92,26 +93,94 @@ func TestCompactCompression(t *testing.T) {
 }
 
 // Fetches and data references alternate between far-apart regions, yet
-// each keeps its own one-byte stride: the two predictors do not disturb
-// each other. Only the two opening jumps from zero take more (3 and 4
-// extra delta bytes).
+// each keeps its own stride: the two predictors do not disturb each
+// other, so every fetch after the first is a one-byte next-word record
+// and every write a header and a one-byte delta. Only the two opening
+// jumps from zero take more (4 extra delta bytes each).
 func TestCompactSeparatePredictors(t *testing.T) {
+	const n = 1000
 	var c Compact
 	code, data := uint32(0x0010_0000), uint32(0xC000_0000)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < n; i++ {
 		c.Add(IFetchAfter(2, code))
 		c.Add(WriteAfter(3, data))
 		code += 4
 		data -= 8
 	}
-	if got := c.Bytes(); got > 2*c.Len()+7 {
-		t.Errorf("alternating stream uses %d bytes for %d events", got, c.Len())
+	if got, max := c.Bytes(), 1*n+2*n+8; got > max {
+		t.Errorf("alternating stream uses %d bytes for %d events, want at most %d", got, c.Len(), max)
 	}
 }
 
-// edgeArgs straddle the header's inline range (0-30), its escape value
+// A fetch of the next word (the last fetch address + 4) with an argument
+// of 0-14 is a lone header byte. Any other stride, or a larger argument,
+// takes the explicit form: a header and a one-byte delta, and one more
+// byte for an argument of 16 or more, which escapes. Only the opening
+// jump from zero is an explicit record of 3 bytes.
+func TestCompactNextWordFetch(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		arg, stride uint32
+		perEvent    int
+	}{
+		{"next word", 2, 4, 1},
+		{"argument 0", 0, 4, 1},
+		{"argument 14", 14, 4, 1},
+		{"argument 15", 15, 4, 2},
+		{"argument 16", 16, 4, 3},
+		{"stride 8", 2, 8, 2},
+		{"backwards", 2, ^uint32(3), 2},
+	} {
+		var events []Event
+		a := uint32(0x1000)
+		for i := 0; i < 10000; i++ {
+			events = append(events, IFetchAfter(tc.arg, a))
+			a += tc.stride
+		}
+		c := compactOf(events)
+		if got, max := c.Bytes(), tc.perEvent*c.Len()+2; got > max {
+			t.Errorf("%s: %d bytes for %d fetches, want at most %d", tc.name, got, c.Len(), max)
+		}
+		if got := Drain(c.NewSource()); !reflect.DeepEqual(got, events) {
+			t.Errorf("%s: replay differs from the appended fetches", tc.name)
+		}
+	}
+}
+
+// A Mark taken between two next-word fetches carries the fetch predictor
+// the next record is relative to: seeking there, on the same cursor after
+// it ran on or on a fresh one, replays the same addresses.
+func TestCompactSeekBetweenNextWordFetches(t *testing.T) {
+	events := []Event{IFetch(0x10), IFetch(0x14), Read(0x20), IFetch(0x18), IFetch(0x1C), End()}
+	c := compactOf(events)
+	if c.Bytes() != 2+1+2+1+1+1 {
+		t.Fatalf("fixture encodes to %d bytes; want next-word records for the +4 fetches", c.Bytes())
+	}
+	for _, k := range []int{1, 4} { // before the first next-word fetch; between two of them
+		src := c.NewSource()
+		for i := 0; i < k; i++ {
+			src.Next()
+		}
+		m := src.Mark()
+		if got := Drain(src); !reflect.DeepEqual(got, events[k:]) {
+			t.Fatalf("mark at %d: Drain = %v, want %v", k, got, events[k:])
+		}
+		src.Seek(m)
+		if got := Drain(src); !reflect.DeepEqual(got, events[k:]) {
+			t.Errorf("mark at %d: Drain after Seek = %v, want %v", k, got, events[k:])
+		}
+		fresh := c.NewSource()
+		fresh.Seek(m)
+		if got := Drain(fresh); !reflect.DeepEqual(got, events[k:]) {
+			t.Errorf("mark at %d: Drain after Seek on a fresh cursor = %v, want %v", k, got, events[k:])
+		}
+	}
+}
+
+// edgeArgs straddle the next-word fetch's inline range (0-14), the
+// explicit fetch's (0-15), every other kind's (0-30), the escape value
 // (31) and the uvarint's byte boundaries.
-var edgeArgs = []uint32{0, 1, 30, 31, 32, 127, 128, 1 << 21, math.MaxUint32}
+var edgeArgs = []uint32{0, 1, 14, 15, 16, 30, 31, 32, 127, 128, 1 << 21, math.MaxUint32}
 
 // edgeSteps are address deltas from the one-byte stride to the ±2^31
 // extremes of the zigzag varint.
@@ -120,7 +189,10 @@ var edgeSteps = []uint32{4, ^uint32(3), 64, 1<<31 - 1, 1 << 31, 1<<31 + 1}
 // compactEvents returns n random events of every kind. Arguments favour
 // edgeArgs, instruction fetches walk a code region and every other
 // addressed kind a far-apart data region, with edgeSteps and random
-// jumps mixed in. Half the streams end in an End.
+// jumps mixed in. A quarter of the draws are runs of next-word fetches
+// with arguments of 0-17, so records switch between the next-word and
+// explicit forms on both sides of the argument boundary. Half the streams
+// end in an End.
 func compactEvents(rng *rand.Rand, n int) []Event {
 	code, data := uint32(0x0010_0000), uint32(0xC000_0000)
 	arg := func() uint32 {
@@ -136,7 +208,14 @@ func compactEvents(rng *rand.Rand, n int) []Event {
 		return a + edgeSteps[rng.Intn(len(edgeSteps))]
 	}
 	events := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
+	for len(events) < n {
+		if rng.Intn(4) == 0 {
+			for k := rng.Intn(8) + 1; k > 0 && len(events) < n; k-- {
+				code += 4
+				events = append(events, IFetchAfter(uint32(rng.Intn(18)), code))
+			}
+			continue
+		}
 		ev := Event{Kind: Kind(rng.Intn(int(KindEnd))), Arg: arg()}
 		switch ev.Kind {
 		case KindIFetch:

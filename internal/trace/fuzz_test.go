@@ -15,7 +15,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add([]byte("SSTR"))
-	f.Add([]byte("SSTR\x02\x00\x02"))
+	f.Add([]byte("SSTR\x03\x00\x02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -140,6 +140,11 @@ func Simulate(set *TraceSet, cfg MachineConfig) (*MachineResult, error) {
 	return machine.Run(set, cfg)
 }
 
+// ErrLockMisuse is wrapped into the error a simulation returns when a
+// processor's trace releases a lock it does not hold or acquires one it
+// already holds; test with errors.Is.
+var ErrLockMisuse = machine.ErrLockMisuse
+
 // SimulateCtx runs a trace set on a machine, polling ctx at a coarse
 // interval so long simulations can be cancelled or deadlined.
 func SimulateCtx(ctx context.Context, set *TraceSet, cfg MachineConfig) (*MachineResult, error) {

@@ -165,6 +165,15 @@ func TestFacadeSimulateCtx(t *testing.T) {
 	}
 }
 
+// Simulate returns an error, not a panic, on a trace whose processor
+// releases a lock it never took.
+func TestFacadeSimulateLockMisuse(t *testing.T) {
+	set := BufferTraceSet("unlock", [][]Event{{Unlock(1, 0x40)}})
+	if _, err := Simulate(set, DefaultMachineConfig()); !errors.Is(err, ErrLockMisuse) {
+		t.Errorf("Simulate err = %v, want ErrLockMisuse", err)
+	}
+}
+
 func TestFacadeSharedAddr(t *testing.T) {
 	if !SharedAddr(0x80000000) || SharedAddr(0x40000000) {
 		t.Error("SharedAddr classifier wrong")
