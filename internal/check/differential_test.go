@@ -44,7 +44,8 @@ func TestDifferentialAllWorkloads(t *testing.T) {
 // TestDifferentialWide runs the golden corpus's wide cells (Grav and
 // Topopt at 65 and 128 CPUs) through the differential harness: zero
 // divergence from the oracle under every model, with the invariant checker
-// validating the multi-word holder index at every periodic sweep.
+// validating the multi-word holder index at every periodic sweep, and
+// every field of the machine's Result equal to its pin (wideResultPins).
 func TestDifferentialWide(t *testing.T) {
 	models := []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
 	for _, c := range WideCells {
@@ -66,6 +67,12 @@ func TestDifferentialWide(t *testing.T) {
 				}
 				if !rep.Ok() {
 					t.Errorf("divergence:\n%s", rep)
+				}
+				if rep.Machine != nil {
+					key := fmt.Sprintf("%s/ncpu%d/%s", c.Benchmark, c.NCPU, model)
+					if got, want := resultFingerprint(t, rep.Machine), wideResultPins[key]; got != want {
+						t.Errorf("Result fingerprint %s, pinned %q", got, want)
+					}
 				}
 			})
 		}
