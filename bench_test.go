@@ -311,18 +311,23 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkCheckerOverhead measures what the runtime invariant checker
 // (machine.Config.Check) costs on a representative contended workload: the
 // "off" and "on" sub-benchmarks simulate the same trace, so their ratio is
-// the checker's overhead.
+// the checker's overhead. The ncpu65 pair does the same for Grav on a
+// 65-processor machine at the scale of perfbench's wide-scaling workload,
+// where the checker's scans grow with the processor count.
 func BenchmarkCheckerOverhead(b *testing.B) {
+	narrow := workload.Params{Scale: benchScale, Seed: 1}
+	wide := workload.Params{NCPU: 65, Scale: 0.015, Seed: 1}
 	for _, mode := range []struct {
-		name  string
-		check bool
-	}{{"off", false}, {"on", true}} {
+		name   string
+		params workload.Params
+		check  bool
+	}{{"off", narrow, false}, {"on", narrow, true}, {"ncpu65/off", wide, false}, {"ncpu65/on", wide, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := machine.DefaultConfig()
 			cfg.Check = mode.check
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				set := benchTrace(b, "Grav")
+				set := benchTraceAt(b, "Grav", mode.params)
 				res, err := machine.Run(set, cfg)
 				if err != nil {
 					b.Fatal(err)

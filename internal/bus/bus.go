@@ -168,28 +168,50 @@ func (b *Bus) Holder(now uint64) int {
 func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
 
 // Arbitrate grants the bus to the next ready requester in round-robin
-// order. ready(i) must report whether requester i has a grantable
-// transaction at time now. It returns the granted requester, or ok == false
-// if the bus is busy or nobody is ready. The caller must follow up with
-// Occupy to start the granted transaction.
-func (b *Bus) Arbitrate(now uint64, ready func(i int) bool) (int, bool) {
+// order, asking only the candidates that next walks. next(from) returns
+// the smallest candidate index >= from, or -1 when there is none; a
+// requester it never returns must not be ready (Every returns them all).
+// ready(i) must report, without side effects, whether requester i has a
+// grantable transaction at time now. The grant and the round-robin
+// pointer then equal those of a scan of every requester. It returns the
+// granted requester, or ok == false if the bus is busy or no candidate is
+// ready. The caller must follow up with Occupy to start the granted
+// transaction.
+func (b *Bus) Arbitrate(now uint64, next func(from int) int, ready func(i int) bool) (int, bool) {
 	if !b.Free(now) {
 		return -1, false
 	}
-	for k := 0; k < b.nreq; k++ {
-		i := b.rrNext + k
-		if i >= b.nreq { // branch instead of modulo: this scan is hot
-			i -= b.nreq
-		}
+	// From the pointer to the last requester, then wrap around to the
+	// ones below the pointer.
+	start := b.rrNext
+	for i := next(start); i >= 0; i = next(i + 1) {
 		if ready(i) {
-			b.rrNext = i + 1
-			if b.rrNext >= b.nreq {
-				b.rrNext = 0
-			}
-			return i, true
+			return b.granted(i), true
+		}
+	}
+	for i := next(0); i >= 0 && i < start; i = next(i + 1) {
+		if ready(i) {
+			return b.granted(i), true
 		}
 	}
 	return -1, false
+}
+
+// granted moves the round-robin pointer past the granted requester i.
+func (b *Bus) granted(i int) int {
+	if b.rrNext = i + 1; b.rrNext >= b.nreq {
+		b.rrNext = 0
+	}
+	return i
+}
+
+// Every is the candidate walk that offers every requester to Arbitrate: a
+// full round-robin scan.
+func (b *Bus) Every(from int) int {
+	if from < b.nreq {
+		return from
+	}
+	return -1
 }
 
 // Occupy starts a transaction of type op by requester at time now and

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -70,17 +71,17 @@ func TestOccupyWhileBusyPanics(t *testing.T) {
 func TestArbitrateBusyBus(t *testing.T) {
 	b := New(2, DefaultTiming())
 	b.Occupy(0, OpWriteBack, 0, 0)
-	if _, ok := b.Arbitrate(1, func(int) bool { return true }); ok {
+	if _, ok := b.Arbitrate(1, b.Every, func(int) bool { return true }); ok {
 		t.Fatal("arbitration granted while bus busy")
 	}
-	if _, ok := b.Arbitrate(3, func(int) bool { return true }); !ok {
+	if _, ok := b.Arbitrate(3, b.Every, func(int) bool { return true }); !ok {
 		t.Fatal("arbitration refused on free bus")
 	}
 }
 
 func TestArbitrateNobodyReady(t *testing.T) {
 	b := New(4, DefaultTiming())
-	if _, ok := b.Arbitrate(0, func(int) bool { return false }); ok {
+	if _, ok := b.Arbitrate(0, b.Every, func(int) bool { return false }); ok {
 		t.Fatal("granted with no ready requester")
 	}
 }
@@ -91,7 +92,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	now := uint64(0)
 	var order []int
 	for i := 0; i < 9; i++ {
-		got, ok := b.Arbitrate(now, func(int) bool { return true })
+		got, ok := b.Arbitrate(now, b.Every, func(int) bool { return true })
 		if !ok {
 			t.Fatal("arbitration failed")
 		}
@@ -109,14 +110,67 @@ func TestRoundRobinFairness(t *testing.T) {
 func TestRoundRobinSkipsNotReady(t *testing.T) {
 	b := New(4, DefaultTiming())
 	ready := map[int]bool{1: true, 3: true}
-	got, ok := b.Arbitrate(0, func(i int) bool { return ready[i] })
+	got, ok := b.Arbitrate(0, b.Every, func(i int) bool { return ready[i] })
 	if !ok || got != 1 {
 		t.Fatalf("grant = %d ok=%v, want 1", got, ok)
 	}
 	b.Occupy(got, OpRead, 0, 0)
-	got, ok = b.Arbitrate(1, func(i int) bool { return ready[i] })
+	got, ok = b.Arbitrate(1, b.Every, func(i int) bool { return ready[i] })
 	if !ok || got != 3 {
 		t.Fatalf("grant = %d ok=%v, want 3", got, ok)
+	}
+}
+
+// TestArbitrateCandidateWalk pins the candidate walk to the full scan:
+// over random ready sets, random candidate supersets of them and random
+// pointer positions, through runs of consecutive arbitrations, a bus
+// asking only the candidates grants the same requester and leaves the same
+// round-robin pointer as a twin bus asking every requester. The last
+// requester plays the machine's memory controller, which its walk offers
+// exactly when it is ready.
+func TestArbitrateCandidateWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 7))
+	for trial := 0; trial < 5000; trial++ {
+		nreq := 1 + rng.IntN(130)
+		full, walk := New(nreq, DefaultTiming()), New(nreq, DefaultTiming())
+		full.rrNext = rng.IntN(nreq)
+		walk.rrNext = full.rrNext
+		ready := make([]bool, nreq)
+		cand := make([]bool, nreq)
+		next := func(from int) int {
+			for i := from; i < nreq; i++ {
+				if cand[i] {
+					return i
+				}
+			}
+			return -1
+		}
+		askFull := func(i int) bool { return ready[i] }
+		askWalk := func(i int) bool {
+			if !cand[i] {
+				t.Fatalf("trial %d: asked requester %d, which is no candidate", trial, i)
+			}
+			return ready[i]
+		}
+		now := uint64(0)
+		for step := 0; step < 8; step++ {
+			density := 1 + rng.IntN(8)
+			for i := range ready {
+				ready[i] = rng.IntN(density) == 0
+				cand[i] = ready[i] || rng.IntN(3) == 0
+			}
+			cand[nreq-1] = ready[nreq-1]
+			want, wantOK := full.Arbitrate(now, full.Every, askFull)
+			got, gotOK := walk.Arbitrate(now, next, askWalk)
+			if got != want || gotOK != wantOK || walk.rrNext != full.rrNext {
+				t.Fatalf("trial %d step %d (%d requesters): walk granted %d (%v) with pointer %d, full scan %d (%v) with pointer %d",
+					trial, step, nreq, got, gotOK, walk.rrNext, want, wantOK, full.rrNext)
+			}
+			if wantOK {
+				full.Occupy(want, OpRead, now, 0)
+				now = walk.Occupy(got, OpRead, now, 0)
+			}
+		}
 	}
 }
 
@@ -134,7 +188,7 @@ func TestNoStarvationProperty(t *testing.T) {
 		now := uint64(0)
 		total := (int(rounds%16) + 2) * nreq
 		for tx := 0; tx < total; tx++ {
-			got, ok := b.Arbitrate(now, func(int) bool { return true })
+			got, ok := b.Arbitrate(now, b.Every, func(int) bool { return true })
 			if !ok {
 				return false
 			}

@@ -92,10 +92,12 @@ type buffer struct {
 	// write-back entries, kept current across push/remove so the coherence
 	// paths can skip their per-processor buffer scans when it is zero.
 	wbPending *int
-	// occupied, when non-nil, points at a machine-wide count of non-empty
-	// buffers, letting the run loops skip bus arbitration when no
-	// processor has anything to issue.
-	occupied *int
+	// occupied, when non-nil, is the machine-wide set of processors with
+	// a non-empty buffer, kept current across push/remove under this
+	// buffer's processor id, so the run loops ask only those processors
+	// at arbitration.
+	occupied cpuSet
+	id       int
 }
 
 func newBuffer(depth int) *buffer {
@@ -118,7 +120,7 @@ func (b *buffer) push(e entry) {
 		*b.wbPending++
 	}
 	if len(b.entries) == 0 && b.occupied != nil {
-		*b.occupied++
+		b.occupied.add(b.id)
 	}
 	b.entries = append(b.entries, e)
 }
@@ -134,7 +136,7 @@ func (b *buffer) pushFront(e entry) {
 		*b.wbPending++
 	}
 	if len(b.entries) == 0 && b.occupied != nil {
-		*b.occupied++
+		b.occupied.add(b.id)
 	}
 	b.entries = append(b.entries, entry{})
 	copy(b.entries[1:], b.entries)
@@ -173,7 +175,7 @@ func (b *buffer) remove(target *entry) {
 			}
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
 			if len(b.entries) == 0 && b.occupied != nil {
-				*b.occupied--
+				b.occupied.remove(b.id)
 			}
 			b.removed++
 			return

@@ -44,10 +44,30 @@ type checker struct {
 	txns     uint64
 	lastNow  uint64
 	lastBusy []uint64 // per-CPU busyUntil high-water marks
+	// err is the first violation found at grant time (sharedRead); the
+	// next completed transaction's afterTxn returns it and ends the run.
+	err error
+
+	// The periodic sweep's per-line tallies, kept to be reused: index
+	// maps a line to its tally, and tally i's holder set is
+	// sets[i*nw : (i+1)*nw], nw being the words of a cpuSet.
+	index   map[uint32]int32
+	tallies []lineTally
+	sets    []uint64
+}
+
+// lineTally is one line's coherence ground truth across every cache and
+// buffer.
+type lineTally struct {
+	line   uint32
+	owners int // caches holding it Modified or Exclusive
+	valid  int // caches holding it in any valid state
+	wbs    int // processors with a write-back of it buffered, not yet on the bus
+	lastWB int // 1 + the last processor counted in wbs
 }
 
 func newChecker(m *Machine) *checker {
-	return &checker{m: m, lastBusy: make([]uint64, len(m.cpus))}
+	return &checker{m: m, lastBusy: make([]uint64, len(m.cpus)), index: make(map[uint32]int32)}
 }
 
 func invariantf(format string, args ...any) error {
@@ -57,6 +77,9 @@ func invariantf(format string, args ...any) error {
 // afterTxn validates the machine state just after transaction t completed.
 func (k *checker) afterTxn(t busTxn) error {
 	m := k.m
+	if k.err != nil {
+		return k.err
+	}
 	k.txns++
 	if m.now < k.lastNow {
 		return invariantf("clock moved backwards: %d after %d", m.now, k.lastNow)
@@ -98,29 +121,35 @@ func (k *checker) afterTxn(t busTxn) error {
 }
 
 // checkLine asserts the Illinois invariant for one line across all caches
-// and buffers: at most one cache holds the line Modified or Exclusive, an
-// exclusive cache holder excludes every other valid cache copy, and at most
-// one processor has a write-back of the line buffered. A buffered
-// write-back may coexist with copies elsewhere: it stays queued after
-// supplying a reader cache-to-cache (§2.2's snoopable buffer), so only
-// cache-state duplication is a violation.
+// and buffers (see lineTally.check).
 func (m *Machine) checkLine(line uint32) error {
-	owners, valid, wbs := 0, 0, 0
+	t := lineTally{line: line}
 	for _, c := range m.cpus {
 		switch c.cache.Peek(line) {
 		case cache.Modified, cache.Exclusive:
-			owners++
-			valid++
+			t.owners++
+			t.valid++
 		case cache.Shared:
-			valid++
+			t.valid++
 		}
 		if _, ok := c.buf.pendingWriteBack(line); ok {
-			wbs++
+			t.wbs++
 		}
 	}
-	if owners > 1 || (owners == 1 && valid > 1) || wbs > 1 {
+	return t.check(m)
+}
+
+// check asserts the Illinois invariant on a line's tally: at most one
+// cache holds the line Modified or Exclusive, an exclusive cache holder
+// excludes every other valid cache copy, and at most one processor has a
+// write-back of the line buffered. A buffered write-back may coexist with
+// copies elsewhere: it stays queued after supplying a reader
+// cache-to-cache (§2.2's snoopable buffer), so only cache-state
+// duplication is a violation.
+func (t *lineTally) check(m *Machine) error {
+	if t.owners > 1 || (t.owners == 1 && t.valid > 1) || t.wbs > 1 {
 		return invariantf("coherence violated on line %#x: %d exclusive holders, %d valid copies, %d buffered write-backs%s",
-			line, owners, valid, wbs, m.lineHolders(line))
+			t.line, t.owners, t.valid, t.wbs, m.lineHolders(t.line))
 	}
 	return nil
 }
@@ -140,27 +169,74 @@ func (m *Machine) lineHolders(line uint32) string {
 	return s
 }
 
+// sharedRead guards the premise of the calendar's shared-read shortcut
+// (snoopShared), which answers a read snoop of a line held by two or more
+// caches without visiting them, on the ground that every holder is
+// Shared. A skipped holder in any other state is recorded as the run's
+// violation.
+func (k *checker) sharedRead(requester int, line uint32, set cpuSet) {
+	for id := set.next(0); id >= 0 && k.err == nil; id = set.next(id + 1) {
+		if st := k.m.cpus[id].cache.Peek(line); id != requester && st != cache.Shared {
+			k.err = invariantf("shared-read snoop of line %#x skipped cpu %d, which holds it %v:%s",
+				line, id, st, k.m.lineHolders(line))
+		}
+	}
+}
+
 // sweep runs the full periodic check: every cached or buffered line's
-// coherence plus the lock manager's structural and fairness invariants.
+// coherence, the holder index, and the lock manager's structural and
+// fairness invariants. One walk over every cache and buffer tallies each
+// line's exclusive holders, valid copies, buffered write-backs and holder
+// set, so the sweep costs the machine's residency, not its lines times its
+// processors.
 func (k *checker) sweep() error {
 	m := k.m
-	lines := make(map[uint32]struct{})
-	for _, c := range m.cpus {
+	nw := len(m.snoopSet)
+	clear(k.index)
+	k.tallies, k.sets = k.tallies[:0], k.sets[:0]
+	tally := func(line uint32) int {
+		i, ok := k.index[line]
+		if !ok {
+			i = int32(len(k.tallies))
+			k.index[line] = i
+			k.tallies = append(k.tallies, lineTally{line: line})
+			k.sets = append(k.sets, make([]uint64, nw)...)
+		}
+		return int(i)
+	}
+	wbs := 0
+	for id, c := range m.cpus {
 		c.cache.ForEachLine(func(addr uint32, st cache.State) {
-			lines[addr] = struct{}{}
+			i := tally(addr)
+			t := &k.tallies[i]
+			switch st {
+			case cache.Modified, cache.Exclusive:
+				t.owners++
+				t.valid++
+			case cache.Shared:
+				t.valid++
+			}
+			cpuSet(k.sets[i*nw : (i+1)*nw]).add(id)
 		})
-		for i := range c.buf.entries {
-			if c.buf.entries[i].kind == entWriteBack {
-				lines[c.buf.entries[i].line] = struct{}{}
+		for j := range c.buf.entries {
+			e := &c.buf.entries[j]
+			if e.kind != entWriteBack {
+				continue
+			}
+			wbs++
+			t := &k.tallies[tally(e.line)]
+			if !e.inFlight && t.lastWB != id+1 {
+				t.wbs++
+				t.lastWB = id + 1
 			}
 		}
 	}
-	for line := range lines {
-		if err := m.checkLine(line); err != nil {
+	for i := range k.tallies {
+		if err := k.tallies[i].check(m); err != nil {
 			return err
 		}
 	}
-	if err := k.checkHolderIndex(); err != nil {
+	if err := k.checkHolderIndex(wbs); err != nil {
 		return err
 	}
 	if err := m.locks.CheckInvariants(); err != nil {
@@ -170,46 +246,40 @@ func (k *checker) sweep() error {
 }
 
 // checkHolderIndex validates the machine's derived coherence bookkeeping
-// against ground truth: the line→holders index must match exactly what the
-// caches hold, and the buffered write-back count must match the buffers.
-// Both are pure accelerators for the snoop paths, so any drift here means
-// snoops could be skipped and the simulation silently diverge.
-func (k *checker) checkHolderIndex() error {
+// against the ground truth the sweep just tallied: the line→holders index
+// must match exactly what the caches hold, and the buffered write-back
+// count must match the buffers (wbs). Both are pure accelerators for the
+// snoop paths, so any drift here means snoops could be skipped and the
+// simulation silently diverge.
+func (k *checker) checkHolderIndex(wbs int) error {
 	m := k.m
-	wbs := 0
-	for _, c := range m.cpus {
-		for i := range c.buf.entries {
-			if c.buf.entries[i].kind == entWriteBack {
-				wbs++
-			}
-		}
-	}
 	if wbs != m.wbPending {
 		return invariantf("write-back count drifted: index says %d, buffers hold %d", m.wbPending, wbs)
 	}
-	want := make(map[uint32]cpuSet, m.holders.lenLive())
-	for i, c := range m.cpus {
-		c.cache.ForEachLine(func(addr uint32, st cache.State) {
-			set, ok := want[addr]
-			if !ok {
-				set = newCPUSet(len(m.cpus))
-				want[addr] = set
-			}
-			set.add(i)
-		})
+	resident := 0
+	for i := range k.tallies {
+		if k.tallies[i].valid > 0 {
+			resident++
+		}
 	}
-	if len(want) != m.holders.lenLive() {
-		return invariantf("holder index drifted: %d lines indexed, %d resident", m.holders.lenLive(), len(want))
+	if resident != m.holders.lenLive() {
+		return invariantf("holder index drifted: %d lines indexed, %d resident", m.holders.lenLive(), resident)
 	}
-	for line, set := range want {
-		got, count := m.holders.get(line), m.holders.count(line)
+	nw := len(m.snoopSet)
+	for i := range k.tallies {
+		t := &k.tallies[i]
+		if t.valid == 0 {
+			continue // only a buffered write-back
+		}
+		set := cpuSet(k.sets[i*nw : (i+1)*nw])
+		count, got := m.holders.lookup(t.line)
 		n := 0
 		for _, w := range set {
 			n += bits.OnesCount64(w)
 		}
 		if !slices.Equal(got, set) || count != n {
 			return invariantf("holder index drifted on line %#x: indexed %#x (count %d), resident %#x%s",
-				line, got, count, set, m.lineHolders(line))
+				t.line, got, count, set, m.lineHolders(t.line))
 		}
 	}
 	return nil

@@ -73,16 +73,14 @@ func (t *holderTable) slot(line uint32) int {
 	}
 }
 
-// get returns line's holder set as a view into the table (all zero when
-// absent or dead). The view is valid only until the next or, which may
-// rehash: callers that keep it across residency changes copy it first.
-func (t *holderTable) get(line uint32) cpuSet {
+// lookup returns the number of processors holding line and their set,
+// from one probe. The set is a view into the table (all zero when absent
+// or dead), valid only until the next or, which may rehash: callers that
+// keep it across residency changes copy it first.
+func (t *holderTable) lookup(line uint32) (int, cpuSet) {
 	b := t.slot(line)
-	return cpuSet(t.slots[b+1 : b+t.stride])
+	return int(t.slots[b] / hdrCountUnit), cpuSet(t.slots[b+1 : b+t.stride])
 }
-
-// count returns the number of processors holding line.
-func (t *holderTable) count(line uint32) int { return int(t.slots[t.slot(line)] / hdrCountUnit) }
 
 // heldByOther reports whether any processor other than id holds line.
 func (t *holderTable) heldByOther(line uint32, id int) bool {

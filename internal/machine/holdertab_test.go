@@ -10,14 +10,14 @@ import (
 // in-place revival of a dead slot.
 func TestHolderTableBasic(t *testing.T) {
 	tab := newHolderTable(64)
-	if got := tab.get(0x1000); got[0] != 0 {
-		t.Fatalf("empty table get = %#x", got)
+	if _, got := tab.lookup(0x1000); got[0] != 0 {
+		t.Fatalf("empty table lookup = %#x", got)
 	}
 	tab.or(0x1000, 3)
 	tab.or(0x1000, 7)
 	tab.or(0x2000, 0)
-	if got := tab.get(0x1000); got[0] != 1<<3|1<<7 {
-		t.Fatalf("get(0x1000) = %#x", got)
+	if _, got := tab.lookup(0x1000); got[0] != 1<<3|1<<7 {
+		t.Fatalf("lookup(0x1000) = %#x", got)
 	}
 	if tab.lenLive() != 2 {
 		t.Fatalf("lenLive = %d, want 2", tab.lenLive())
@@ -28,8 +28,8 @@ func TestHolderTableBasic(t *testing.T) {
 	}
 	tab.clear(0x1000, 3)
 	tab.clear(0x1000, 7)
-	if got := tab.get(0x1000); got[0] != 0 {
-		t.Fatalf("cleared line get = %#x", got)
+	if _, got := tab.lookup(0x1000); got[0] != 0 {
+		t.Fatalf("cleared line lookup = %#x", got)
 	}
 	if tab.lenLive() != 1 {
 		t.Fatalf("lenLive after clear = %d, want 1", tab.lenLive())
@@ -39,8 +39,8 @@ func TestHolderTableBasic(t *testing.T) {
 	tab.clear(0x1000, 0)
 	// A dead slot revives in place.
 	tab.or(0x1000, 5)
-	if got := tab.get(0x1000); got[0] != 1<<5 {
-		t.Fatalf("revived line get = %#x", got)
+	if _, got := tab.lookup(0x1000); got[0] != 1<<5 {
+		t.Fatalf("revived line lookup = %#x", got)
 	}
 	if tab.lenLive() != 2 {
 		t.Fatalf("lenLive after revival = %d, want 2", tab.lenLive())
@@ -80,16 +80,16 @@ func TestHolderTableGrowthAndCompaction(t *testing.T) {
 		t.Fatalf("lenLive = %d, oracle has %d", tab.lenLive(), len(oracle))
 	}
 	for line, set := range oracle {
-		if got := tab.get(line); !slices.Equal(got, set) {
-			t.Fatalf("get(%#x) = %#x, want %#x", line, got, set)
-		}
-		// heldByOther answers from the holder count: true for every id
-		// when two or more hold the line, and for all but the sole holder
-		// otherwise.
 		holders := 0
 		for id := set.next(0); id >= 0; id = set.next(id + 1) {
 			holders++
 		}
+		if n, got := tab.lookup(line); !slices.Equal(got, set) || n != holders {
+			t.Fatalf("lookup(%#x) = %d, %#x, want %d, %#x", line, n, got, holders, set)
+		}
+		// heldByOther answers from the holder count: true for every id
+		// when two or more hold the line, and for all but the sole holder
+		// otherwise.
 		for id := 0; id < ncpu; id++ {
 			want := holders > 1 || (holders == 1 && !set.has(id))
 			if got := tab.heldByOther(line, id); got != want {
@@ -108,7 +108,7 @@ func TestHolderTableGrowthAndCompaction(t *testing.T) {
 		t.Fatalf("forEach visited %d lines, want %d", seen, len(oracle))
 	}
 	// Absent lines read as empty and are held by nobody.
-	if got := tab.get(0x1); !slices.Equal(got, newCPUSet(ncpu)) || tab.heldByOther(0x1, 0) {
-		t.Fatalf("absent line: get = %#x, heldByOther = %v", got, tab.heldByOther(0x1, 0))
+	if n, got := tab.lookup(0x1); n != 0 || !slices.Equal(got, newCPUSet(ncpu)) || tab.heldByOther(0x1, 0) {
+		t.Fatalf("absent line: lookup = %d, %#x, heldByOther = %v", n, got, tab.heldByOther(0x1, 0))
 	}
 }

@@ -218,7 +218,7 @@ func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New(%v): %v", sched, err)
 			}
-			if m.holders == nil || len(m.holders.get(0)) != (ncpu+63)/64 {
+			if _, set := m.holders.lookup(0); len(set) != (ncpu+63)/64 {
 				t.Fatalf("holder index for %d CPUs not built with %d-word slots", ncpu, (ncpu+63)/64)
 			}
 			res, err := m.Run()

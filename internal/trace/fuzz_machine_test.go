@@ -33,6 +33,25 @@ func fuzzSeed(f *testing.F, name string, cpus [][]trace.Event) []byte {
 	return buf.Bytes()
 }
 
+// sharedReadTrace is a four-processor seed for the calendar's shared-line
+// read snoops: cpus 0 and 1 read line x, cpu 2 misses on it at cycle 30
+// while both hold it Shared (cpu 0 runs ahead through hits on it under a
+// lease), and cpu 3 writes it at cycle 50, taking it from under cpu 0's
+// later hits, so cpu 0's lease rolls back after the read snoop.
+func sharedReadTrace() [][]trace.Event {
+	const x = 0x1000
+	reader := []trace.Event{trace.Read(x)}
+	for i := 0; i < 12; i++ {
+		reader = append(reader, trace.Exec(5), trace.Read(x))
+	}
+	return [][]trace.Event{
+		append(reader, trace.End()),
+		{trace.Read(x), trace.Exec(100), trace.End()},
+		{trace.Exec(30), trace.Read(x), trace.Exec(10), trace.End()},
+		{trace.Exec(50), trace.Write(x), trace.Exec(10), trace.End()},
+	}
+}
+
 // fuzzTrace decodes a fuzz input and keeps it only if it is small enough to
 // simulate quickly and passes trace.Validate, the same gate trace.DecodeSet
 // applies on the run path.
@@ -97,6 +116,7 @@ func FuzzMachine(f *testing.F) {
 		{trace.Exec(3), trace.Barrier(0), trace.Exec(0), trace.Exec(5), trace.End()},
 		{trace.Barrier(0), trace.Exec(0), trace.Read(0x1000), trace.End()},
 	}, locks.TTS, machine.WeakOrdering)
+	add("shared read then rollback", sharedReadTrace(), locks.Queue, machine.WeakOrdering)
 	// A lock still held at End: trace.Validate must refuse it, since the
 	// machine would never release the lock. The Unlock after End is not
 	// stored; every Source stops at End.

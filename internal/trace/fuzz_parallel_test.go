@@ -48,6 +48,13 @@ func FuzzParallelSched(f *testing.F) {
 		{trace.Exec(40), trace.Read(0x1000), trace.Exec(0), trace.Exec(3), trace.End()},
 	}, locks.TTS, machine.WeakOrdering, 2)
 
+	// Two processors read-share a line and a third misses on it: the
+	// calendar answers that read snoop without visiting the two holders,
+	// one of them leased. A fourth then writes the line under the leased
+	// holder's later hits, which rolls that lease back after the skipped
+	// snoop.
+	add("shared read then rollback", sharedReadTrace(), locks.TTS, machine.SeqConsistent, 2)
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	f.Fuzz(func(t *testing.T, data []byte, lock uint8, wo bool, workers uint8) {
