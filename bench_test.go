@@ -377,14 +377,17 @@ func BenchmarkTraceCodec(b *testing.B) {
 // ideal analysis — on every benchmark × machine model under the default
 // wakeup-calendar scheduler, which leases. The lease-free cases run Grav
 // and Topopt over sources wrapped in trace.Func, which cannot rewind, so
-// they time the calendar's serial branch that streamed runs take. This is
-// the suite the CI benchmark regression gate watches (alongside
-// BenchmarkCheckerOverhead).
+// they time the calendar's serial branch that streamed runs take. The
+// ncpu65 cases run Grav and Topopt on a 65-processor machine at the
+// scales of perfbench's wide-scaling workload, under the default model:
+// every per-processor set spans two words there, so a cost that returns
+// only past 64 processors shows in the gate. This is the suite the CI
+// benchmark regression gate watches (alongside BenchmarkCheckerOverhead).
 func BenchmarkMachineRun(b *testing.B) {
-	run := func(b *testing.B, name string, model core.Model, rewindable bool) {
+	run := func(b *testing.B, name string, p workload.Params, model core.Model, rewindable bool) {
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
-			set := benchTrace(b, name)
+			set := benchTraceAt(b, name, p)
 			if !rewindable {
 				// A fresh Set: the cached one must keep its rewindable
 				// sources for the other cases.
@@ -402,59 +405,25 @@ func BenchmarkMachineRun(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "simCycles/s")
 	}
+	at := workload.Params{Scale: benchScale, Seed: 1}
 	for _, name := range suite.Names() {
 		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
 			b.Run(fmt.Sprintf("%s/%s", name, model), func(b *testing.B) {
-				run(b, name, model, true)
+				run(b, name, at, model, true)
 			})
 		}
 	}
 	for _, name := range []string{"Grav", "Topopt"} {
 		b.Run(fmt.Sprintf("%s/%s/lease-free", name, core.ModelQueue), func(b *testing.B) {
-			run(b, name, core.ModelQueue, false)
+			run(b, name, at, core.ModelQueue, false)
 		})
-	}
-}
-
-// BenchmarkMachineRunParallel is BenchmarkMachineRun with the calendar's
-// speculation handed to four workers — the configuration BENCH_pr7.json
-// records and the CI regression gate watches. On a single-CPU host the
-// worker count clamps to GOMAXPROCS and the speculation runs inline; the
-// speedup over BenchmarkMachineRun is then purely algorithmic (leased
-// stretches skip the per-visited-cycle calendar machinery).
-//
-// The ncpu65 cases run Grav and Topopt on a 65-processor machine at the
-// scales of perfbench's wide-scaling workload, under the default model:
-// every per-processor set spans two words there, so a cost that returns
-// only past 64 processors shows in the gate.
-func BenchmarkMachineRunParallel(b *testing.B) {
-	run := func(b *testing.B, name string, p workload.Params, model core.Model) {
-		cfg := model.MachineConfig(machine.DefaultConfig())
-		cfg.Workers = 4
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			set := benchTraceAt(b, name, p)
-			res, err := machine.Run(set, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles = res.RunTime
-		}
-		b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "simCycles/s")
-	}
-	for _, name := range suite.Names() {
-		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
-			b.Run(fmt.Sprintf("%s/%s", name, model), func(b *testing.B) {
-				run(b, name, workload.Params{Scale: benchScale, Seed: 1}, model)
-			})
-		}
 	}
 	for _, wide := range []struct {
 		name  string
 		scale float64
 	}{{"Grav", 0.015}, {"Topopt", 0.003}} {
 		b.Run(wide.name+"/ncpu65", func(b *testing.B) {
-			run(b, wide.name, workload.Params{NCPU: 65, Scale: wide.scale, Seed: 1}, core.ModelQueue)
+			run(b, wide.name, workload.Params{NCPU: 65, Scale: wide.scale, Seed: 1}, core.ModelQueue, true)
 		})
 	}
 }

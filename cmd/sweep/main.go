@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.1, "workload scale")
 	seed := fs.Int64("seed", 1, "generation seed")
 	workers := fs.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-	runWorkers := fs.Int("workers", 0, "per-run helper goroutines for the speculative run-ahead (0/1 = inline)")
 	showMetrics := fs.Bool("metrics", false, "append the engine report as CSV comments")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if baseCfg.Consistency, err = machine.ParseConsistency(*cons); err != nil {
 		return err
 	}
-	baseCfg.Workers = *runWorkers
 
 	var (
 		tasks  []engine.Task

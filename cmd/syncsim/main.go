@@ -146,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	showMetrics := fs.Bool("metrics", false, "print the per-phase run report (generate/analyze/simulate wall time, throughput)")
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
-	schedWorkers := fs.Int("workers", 0, "helper goroutines for the speculative run-ahead (0/1 = inline); results are bit-identical for every value")
 	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis and speculative leases)")
 	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
@@ -170,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if cfg.Consistency, err = machine.ParseConsistency(*cons); err != nil {
 		return err
 	}
-	cfg.Workers = *schedWorkers
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

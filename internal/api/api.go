@@ -39,9 +39,9 @@ type SimRequest struct {
 	// the default; "parallel", its former name for a run with workers, is
 	// accepted as an alias. Responses echo "calendar".
 	Sched string `json:"sched,omitempty"`
-	// Workers bounds the helper goroutines the calendar may use for its
-	// speculative run-ahead (0 or 1 = inline). Results do not depend on
-	// it.
+	// Workers once sized the calendar's speculation worker pool. It is
+	// accepted and ignored, like the "parallel" alias: a negative value is
+	// a 400, and any other value is served, keyed and echoed as 0.
 	Workers int `json:"workers,omitempty"`
 	// Check enables the runtime invariant checker (~1.5x slower).
 	Check bool `json:"check,omitempty"`

@@ -146,7 +146,7 @@ func (b *Bus) Timing() Timing { return b.timing }
 
 // Notify registers a callback invoked on every Occupy with the cycle at
 // which the bus becomes free again. An event-driven simulation loop uses
-// it to schedule the completion wakeup instead of polling BusyUntil; nil
+// it to schedule the completion wakeup instead of polling Free; nil
 // disables notification.
 func (b *Bus) Notify(fn func(freeAt uint64)) { b.notify = fn }
 
@@ -163,9 +163,6 @@ func (b *Bus) Holder(now uint64) int {
 	}
 	return b.holder
 }
-
-// BusyUntil returns the cycle at which the current transaction completes.
-func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
 
 // Arbitrate grants the bus to the next ready requester in round-robin
 // order, asking only the candidates that next walks. next(from) returns

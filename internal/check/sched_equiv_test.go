@@ -2,9 +2,7 @@ package check
 
 import (
 	"context"
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"syncsim/internal/core"
@@ -17,19 +15,18 @@ import (
 var equivModels = []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
 
 // schedEquivSuite runs the full benchmark suite at the golden corpus scale
-// under the given scheduler configuration.
-func schedEquivSuite(t *testing.T, sched machine.SchedKind, workers int) []*core.Outcome {
+// under the given scheduler.
+func schedEquivSuite(t *testing.T, sched machine.SchedKind) []*core.Outcome {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Sched = sched
-	cfg.Workers = workers
 	outs, err := core.RunSuiteCtx(context.Background(), core.Options{
 		Scale:   GoldenScale,
 		Seed:    GoldenSeed,
 		Machine: &cfg,
 	})
 	if err != nil {
-		t.Fatalf("suite under %v scheduler (workers=%d): %v", sched, workers, err)
+		t.Fatalf("suite under %v scheduler: %v", sched, err)
 	}
 	return outs
 }
@@ -119,18 +116,14 @@ func assertLess(t *testing.T, what, name, refName string, runs, ref []*core.Outc
 // TestSchedulerEquivalence pins the schedulers to each other bit-for-bit
 // across the full benchmark matrix: the retained polling loop is the
 // reference for the calendar without leases (over streamed sources, which
-// cannot rewind), the default calendar, which leases, and the calendar
-// with a worker pool at every interesting worker count. Worker counts beyond one
-// exercise the goroutine pool and the pre-dispatch/join path; results must
-// be invariant under all of them and under GOMAXPROCS (the host's
-// parallelism must never leak into simulated time).
+// cannot rewind) and for the default calendar, which leases.
 func TestSchedulerEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full 6×3 matrix under seven scheduler configurations")
+		t.Skip("runs the full 6×3 matrix under three scheduler configurations")
 	}
-	polling := schedEquivSuite(t, machine.SchedPolling, 0)
+	polling := schedEquivSuite(t, machine.SchedPolling)
 	leaseFree := leaseFreeSuite(t)
-	calendar := schedEquivSuite(t, machine.SchedCalendar, 0)
+	calendar := schedEquivSuite(t, machine.SchedCalendar)
 	assertSuitesEqual(t, "polling", "lease-free", polling, leaseFree)
 	assertSuitesEqual(t, "polling", "calendar", polling, calendar)
 
@@ -146,16 +139,4 @@ func TestSchedulerEquivalence(t *testing.T) {
 	assertLess(t, "stepped", "lease-free", "polling", leaseFree, polling, steps)
 	assertLess(t, "stepped", "calendar", "polling", calendar, polling, steps)
 	assertLess(t, "visited", "calendar", "lease-free", calendar, leaseFree, iterations)
-
-	// Force real host parallelism for the worker-pool runs even on a
-	// single-CPU machine: Config.Workers is clamped to GOMAXPROCS, so
-	// without this the pool path would silently degrade to the inline one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("calendar(workers=%d)", workers)
-		pooled := schedEquivSuite(t, machine.SchedCalendar, workers)
-		assertSuitesEqual(t, "polling", name, polling, pooled)
-		assertLess(t, "visited", name, "lease-free", pooled, leaseFree, iterations)
-	}
 }

@@ -69,11 +69,10 @@ const (
 	// (execution bursts and cache hits) ahead of the global clock,
 	// committing the speculation in calendar order and rolling it back
 	// when a bus snoop invalidates it; every bus transaction is still
-	// ordered exactly as without speculation. The run-ahead stays on the
-	// coordinator goroutine unless Config.Workers hands it to helper
-	// goroutines. Over a source that cannot rewind (no trace.Marker, such
-	// as a streamed ring) it steps every processor serially. See
-	// internal/machine/parallel.go and DESIGN §12 and §16.
+	// ordered exactly as without speculation. The run-ahead runs inline,
+	// and a run starts no goroutine. Over a source that cannot rewind (no
+	// trace.Marker, such as a streamed ring) it steps every processor
+	// serially. See internal/machine/parallel.go and DESIGN §12 and §16.
 	SchedCalendar SchedKind = iota
 	// SchedPolling is the original loop: every visited cycle steps every
 	// processor and rescans every component for the next event time. It
@@ -82,10 +81,10 @@ const (
 	SchedPolling
 )
 
-// SchedParallel is the former name of a calendar run with a worker pool;
-// Config.Workers alone starts the pool now.
+// SchedParallel is the former name of a calendar run with a worker pool.
+// The pool is gone: the calendar speculates inline.
 //
-// Deprecated: use SchedCalendar and set Config.Workers.
+// Deprecated: use SchedCalendar.
 const SchedParallel = SchedCalendar
 
 func (s SchedKind) String() string {
@@ -111,11 +110,11 @@ type Config struct {
 	// Sched selects the run-loop scheduler; both produce identical
 	// results (see SchedKind). The zero value is the calendar scheduler.
 	Sched SchedKind
-	// Workers bounds the helper goroutines the calendar may use for
-	// speculative processor run-ahead. 0 or 1 keeps the speculation
-	// inline on the coordinator; larger values are clamped to GOMAXPROCS
-	// and to the processor count. Results are bit-identical for every
-	// value. Ignored by SchedPolling.
+	// Workers once sized the calendar's speculation worker pool. The
+	// calendar speculates inline, so every non-negative value runs the
+	// same way; Validate still rejects a negative one.
+	//
+	// Deprecated: the field has no effect.
 	Workers int `json:",omitempty"`
 
 	// BackoffBase and BackoffMax bound the exponential backoff of the

@@ -293,9 +293,8 @@ func TestLockMisuseEndsRun(t *testing.T) {
 		},
 	}
 	loops := map[string]func(*Config, *trace.Set){
-		"calendar":            func(*Config, *trace.Set) {},
-		"calendar, 2 workers": func(cfg *Config, _ *trace.Set) { cfg.Workers = 2 },
-		"polling":             func(cfg *Config, _ *trace.Set) { cfg.Sched = SchedPolling },
+		"calendar": func(*Config, *trace.Set) {},
+		"polling":  func(cfg *Config, _ *trace.Set) { cfg.Sched = SchedPolling },
 		"lease-free calendar": func(_ *Config, set *trace.Set) {
 			for i, src := range set.Sources {
 				set.Sources[i] = trace.Func(src.Next) // cannot rewind: no leases

@@ -105,9 +105,9 @@ type Machine struct {
 	// sched is the wakeup calendar; nil under SchedPolling, in which case
 	// every scheduler hook is a no-op and the original loop runs.
 	sched *scheduler
-	// par is the calendar's speculative executor (leases, journals and
-	// the worker pool); nil under SchedPolling or when a source cannot
-	// rewind. See parallel.go.
+	// par is the calendar's speculative executor (leases and journals);
+	// nil under SchedPolling or when a source cannot rewind. See
+	// parallel.go.
 	par       *parExec
 	iters     uint64 // visited simulation cycles
 	steps     uint64 // cpu step() invocations
@@ -414,11 +414,6 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 	// Hoisted: a method value allocates per evaluation.
 	ready, next := m.ready, m.nextCandidate
 
-	if workers := m.effectiveWorkers(); workers > 1 {
-		stop := m.startWorkers(workers)
-		defer stop()
-	}
-
 	// Every processor starts in stFetch and must consume its first trace
 	// events at cycle 0.
 	for id := range m.cpus {
@@ -474,15 +469,12 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		// exactly as the polling loop would.
 		s.drainDue(m.now)
 		if s.ndirty > 0 {
-			if m.par != nil && m.par.jobs != nil {
-				m.predispatch()
-			}
 			for id := s.dirty.next(0); id >= 0; id = s.dirty.next(id + 1) {
 				s.unmark(id)
 				m.sweepCPU(id, &progress)
 			}
 			if m.lockErr != nil {
-				return m.lockErr // every dispatched advance was joined in the sweep
+				return m.lockErr
 			}
 			if s.ndirty > 0 {
 				s.pushTime(m.now + 1)
@@ -492,8 +484,6 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		// Phase C: arbitration among the candidates only, skipped when
 		// there are none (see runPolling). A successful grant schedules
 		// the bus-free wakeup through the bus Notify hook inside Occupy.
-		// Every advance dispatched this cycle has been joined by the end
-		// of the sweep, so snoops see settled lease state.
 		if !m.occupied.empty() || m.mem.HasResponse() {
 			if granted, ok := m.bus.Arbitrate(m.now, next, ready); ok {
 				m.grant(granted)
@@ -1142,37 +1132,4 @@ func (m *Machine) result() *Result {
 		}
 	}
 	return res
-}
-
-// CheckCoherence verifies the Illinois invariants across all caches and
-// buffered dirty lines: a line Modified or Exclusive anywhere must not be
-// valid anywhere else. Intended for tests.
-func (m *Machine) CheckCoherence() error {
-	type holder struct {
-		cpu int
-		st  cache.State
-	}
-	lines := make(map[uint32][]holder)
-	for i, c := range m.cpus {
-		c.cache.ForEachLine(func(addr uint32, st cache.State) {
-			lines[addr] = append(lines[addr], holder{i, st})
-		})
-		for _, e := range c.buf.entries {
-			if e.kind == entWriteBack && !e.inFlight {
-				lines[e.line] = append(lines[e.line], holder{i, cache.Modified})
-			}
-		}
-	}
-	for addr, hs := range lines {
-		exclusive := 0
-		for _, h := range hs {
-			if h.st == cache.Modified || h.st == cache.Exclusive {
-				exclusive++
-			}
-		}
-		if exclusive > 1 || (exclusive == 1 && len(hs) > 1) {
-			return fmt.Errorf("machine: coherence violation on line %#x: %v", addr, hs)
-		}
-	}
-	return nil
 }

@@ -9,24 +9,15 @@ import (
 	"syncsim/internal/trace"
 )
 
-// run simulates a trace set with the given config and fails the test on
-// error. It also checks the coherence invariant at the end of the run.
+// run simulates a trace set with the given config, invariant checker on,
+// and fails the test on error: a coherence violation, a lock still held at
+// the end, or any other broken invariant.
 func run(t *testing.T, cfg Config, name string, cpus ...[]trace.Event) *Result {
 	t.Helper()
-	set := trace.BufferSet(name, cpus)
-	m, err := New(set, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := m.Run()
+	cfg.Check = true
+	res, err := Run(trace.BufferSet(name, cpus), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if err := m.CheckCoherence(); err != nil {
-		t.Fatalf("post-run coherence: %v", err)
-	}
-	if m.locks.AnyHeld() {
-		t.Fatal("locks still held after run")
 	}
 	return res
 }

@@ -2,9 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"syncsim/internal/cache"
 	"syncsim/internal/trace"
@@ -12,8 +9,7 @@ import (
 
 // This file implements the calendar's lease discipline: speculative
 // per-processor run-ahead over the wakeup calendar, bit-identical to the
-// polling loop. The calendar runs it inline on the coordinator, or hands
-// the advances to a worker pool when Config.Workers > 1.
+// polling loop. The calendar runs it inline on the coordinator goroutine.
 //
 // # Why speculation
 //
@@ -66,26 +62,13 @@ import (
 // exactly what the serial machine would have. That is what makes the late
 // snoop application and the conflict stamps sound.
 //
-// # Workers
+// # Cost
 //
-// With Config.Workers > 1 the advances themselves (pure per-processor
-// functions) run on a small goroutine pool: at the start of each phase-B
-// sweep the coordinator pre-dispatches an advance for every eligible dirty
-// processor, then sweeps in index order, joining each processor's advance
-// at its position. Dispatched processors cannot be perturbed by earlier
-// sweep steps (they are never blocked on locks or barriers and their
-// buffers are empty), so the join order — not the completion order —
-// decides every observable effect and results are independent of worker
-// count, scheduling and GOMAXPROCS. All conflict detection, rollback,
-// replay and commit work stays on the coordinator. With Workers <= 1 (or
-// on a single-CPU host) the same speculation runs inline on the
-// coordinator with no goroutines at all — this is where the calendar's
-// single-thread speed comes from: a leased visit costs an event decode and
-// a journal probe instead of the full visited-cycle machinery.
-//
-// The hot path allocates nothing in steady state: journals and stamp
-// arrays are sized at construction, snoop-replay queues are reslised on
-// reuse, and the dispatch channels are fixed-capacity.
+// A leased visit costs an event decode and a journal probe instead of the
+// full visited-cycle machinery; that is where the calendar's speed comes
+// from. The hot path allocates nothing in steady state: journals and stamp
+// arrays are sized at construction, and snoop-replay queues are resliced
+// on reuse.
 
 // maxLeaseSteps caps the visits of a single lease so a pathological
 // all-hits trace cannot run ahead unboundedly between heartbeat polls. A
@@ -112,34 +95,11 @@ type lease struct {
 	snoops []queuedSnoop
 }
 
-// parJob and parDone are the advance worker pool's messages.
-type parJob struct {
-	id    int
-	start uint64
-}
-
-type parDone struct {
-	id       int
-	panicked any
-	stack    []byte
-}
-
 // parExec is the speculative executor's state.
 type parExec struct {
 	leases   []lease
 	journals []*cache.Journal
 	marks    []trace.Marker
-	// dispatched marks processors handed to the pool this sweep whose
-	// leases have not yet been registered at their sweep position;
-	// inflight marks those whose results have not yet been received.
-	// They differ: joining one processor drains whatever completions
-	// arrive first, clearing inflight early, but registration must still
-	// happen exactly at the sweep position.
-	dispatched []bool
-	inflight   []bool
-	scratch    []int
-	jobs       chan parJob
-	done       chan parDone
 }
 
 // newParExec builds the speculative executor's state, or returns nil when
@@ -147,12 +107,9 @@ type parExec struct {
 // processor, which is bit-identical by construction.
 func newParExec(m *Machine) *parExec {
 	p := &parExec{
-		leases:     make([]lease, len(m.cpus)),
-		journals:   make([]*cache.Journal, len(m.cpus)),
-		marks:      make([]trace.Marker, len(m.cpus)),
-		dispatched: make([]bool, len(m.cpus)),
-		inflight:   make([]bool, len(m.cpus)),
-		scratch:    make([]int, len(m.cpus)),
+		leases:   make([]lease, len(m.cpus)),
+		journals: make([]*cache.Journal, len(m.cpus)),
+		marks:    make([]trace.Marker, len(m.cpus)),
 	}
 	for i, c := range m.cpus {
 		mk, ok := c.src.(trace.Marker)
@@ -165,116 +122,12 @@ func newParExec(m *Machine) *parExec {
 	return p
 }
 
-// effectiveWorkers resolves Config.Workers against the host: helper
-// goroutines beyond GOMAXPROCS or the processor count cannot add
-// parallelism, and 0/1 selects the inline path. Only a calendar run with
-// an executor starts a pool.
-func (m *Machine) effectiveWorkers() int {
-	if m.par == nil {
-		return 0
-	}
-	w := m.cfg.Workers
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w > len(m.cpus) {
-		w = len(m.cpus)
-	}
-	return w
-}
-
 // leasable reports whether a processor's next activity is purely local: it
 // is fetching or executing, its cache-bus buffer is empty, and no stall
 // window is open. Such a processor can run ahead until it needs the bus.
 func (m *Machine) leasable(c *cpu) bool {
 	return (c.state == stFetch || c.state == stRun) &&
 		c.buf.empty() && c.stallCause == causeNone
-}
-
-// startWorkers starts the calendar's advance pool and returns its
-// shutdown, which the run loop defers so that every exit path — a panic
-// included — closes the pool.
-func (m *Machine) startWorkers(workers int) (stop func()) {
-	p := m.par
-	// Buffered at the processor count so a worker can always deliver its
-	// result and exit, even if the coordinator aborts mid-sweep.
-	p.jobs = make(chan parJob, len(m.cpus))
-	p.done = make(chan parDone, len(m.cpus))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.parWorker()
-		}()
-	}
-	return func() {
-		close(p.jobs)
-		wg.Wait()
-		p.jobs, p.done = nil, nil
-	}
-}
-
-// parWorker runs speculative advances from the job channel until it is
-// closed. Panics (a poisoned trace source, an internal bug) are captured
-// and re-raised on the coordinator at join, so the engine's panic barrier
-// sees them exactly like a serial run's.
-func (m *Machine) parWorker() {
-	for job := range m.par.jobs {
-		res := parDone{id: job.id}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					res.panicked = r
-					res.stack = debug.Stack()
-				}
-			}()
-			m.advanceLease(job.id, job.start)
-		}()
-		m.par.done <- res
-	}
-}
-
-// predispatch hands every eligible dirty processor's advance to the worker
-// pool at the start of a phase-B sweep. Dispatched processors cannot be
-// perturbed by the sweep before their own position (they are never in a
-// blocked state and hold no buffer entries, so barrier releases, lock
-// grants and transaction completions never target them), which is what
-// makes joining them *at* their position equivalent to running them there.
-func (m *Machine) predispatch() {
-	p := m.par
-	n := 0
-	dirty := m.sched.dirty
-	for id := dirty.next(0); id >= 0; id = dirty.next(id + 1) {
-		if !p.leases[id].active && m.leasable(m.cpus[id]) {
-			p.scratch[n] = id
-			n++
-		}
-	}
-	if n < 2 {
-		return // nothing to overlap; the inline path is strictly cheaper
-	}
-	for i := 0; i < n; i++ {
-		id := p.scratch[i]
-		p.dispatched[id] = true
-		p.inflight[id] = true
-		p.jobs <- parJob{id: id, start: m.now}
-	}
-}
-
-// joinAdvance blocks until processor id's dispatched advance has
-// completed, collecting (and clearing) any other completions that arrive
-// first. A worker panic is re-raised here, on the coordinator.
-func (m *Machine) joinAdvance(id int) {
-	p := m.par
-	for p.inflight[id] {
-		d := <-p.done
-		p.inflight[d.id] = false
-		if d.panicked != nil {
-			panic(fmt.Sprintf("machine: parallel advance of cpu %d panicked: %v\n%s",
-				d.id, d.panicked, d.stack))
-		}
-	}
 }
 
 // sweepCPU handles one dirty processor at its position in the phase-B
@@ -285,16 +138,6 @@ func (m *Machine) sweepCPU(id int, progress *bool) {
 	p := m.par
 	if p == nil {
 		m.serialStep(id, progress)
-		return
-	}
-	if p.dispatched[id] {
-		// The advance was pre-dispatched at sweep start; join it at the
-		// position it would have run at. (Its result may already have
-		// arrived while joining an earlier processor — registration still
-		// belongs here, at the sweep position.)
-		m.joinAdvance(id)
-		p.dispatched[id] = false
-		m.finishAdvance(id, progress)
 		return
 	}
 	l := &p.leases[id]
@@ -311,8 +154,7 @@ func (m *Machine) sweepCPU(id int, progress *bool) {
 	}
 	c := m.cpus[id]
 	if m.leasable(c) {
-		m.advanceLease(id, m.now)
-		m.finishAdvance(id, progress)
+		m.advanceLease(id, progress)
 		return
 	}
 	// Ineligible (blocked states, pending buffer entries, open stall
@@ -343,8 +185,7 @@ func (m *Machine) serialStep(id int, progress *bool) {
 		// not lease: the advance would consume the next event at now,
 		// while the wakeup below rounds the burst up to now+1 as the
 		// polling loop does.
-		m.advanceLease(id, m.now)
-		m.finishAdvance(id, progress)
+		m.advanceLease(id, progress)
 		return
 	}
 	switch c.state {
@@ -360,24 +201,31 @@ func (m *Machine) serialStep(id int, progress *bool) {
 	}
 }
 
-// advanceLease opens a lease on processor id and speculatively runs it
-// from cycle start until it blocks. Pure per-processor work: it touches
-// only the processor's own state, cache and journal, never the shared
-// machine — which is what lets it run on a pool worker.
-func (m *Machine) advanceLease(id int, start uint64) {
+// advanceLease opens a lease on processor id, speculatively runs it from
+// the current cycle until it blocks, and registers the lease with the
+// calendar — or commits it at once when the speculation could not get past
+// the current cycle. The run-ahead touches only the processor's own state,
+// cache and journal, never the shared machine.
+func (m *Machine) advanceLease(id int, progress *bool) {
 	p := m.par
 	c := m.cpus[id]
 	l := &p.leases[id]
 	l.active = true
-	l.start = start
+	l.start = m.now
 	l.steps = 0
 	l.snap = *c
 	l.mark = p.marks[id].Mark()
 	l.snoops = l.snoops[:0]
 	p.journals[id].Begin()
-	if rest := m.runAhead(c, l, p.journals[id], start, 0); rest != 0 {
+	if rest := m.runAhead(c, l, p.journals[id], m.now, 0); rest != 0 {
 		panic(fmt.Sprintf("machine: cpu %d advance left %d snoops unapplied", id, rest))
 	}
+	if l.tb == m.now {
+		m.commitLease(id, progress)
+		return
+	}
+	m.sched.wake(id, l.tb)
+	*progress = true
 }
 
 // runAhead is the speculation loop, shared by the initial advance (empty
@@ -466,19 +314,6 @@ func (m *Machine) visitAhead(c *cpu, j *cache.Journal, t uint64) bool {
 			return false
 		}
 	}
-}
-
-// finishAdvance registers a freshly-advanced lease with the calendar, or
-// commits it immediately when the speculation could not get past the
-// current cycle.
-func (m *Machine) finishAdvance(id int, progress *bool) {
-	l := &m.par.leases[id]
-	if l.tb == m.now {
-		m.commitLease(id, progress)
-		return
-	}
-	m.sched.wake(id, l.tb)
-	*progress = true
 }
 
 // commitLease makes a lease's speculative state real at the processor's

@@ -2,8 +2,6 @@ package machine
 
 import (
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 
 	"syncsim/internal/locks"
@@ -67,50 +65,44 @@ func TestLeaseCounters(t *testing.T) {
 			cpus[i] = append(cpus[i], trace.Exec(2), trace.Read(shared))
 		}
 	}
-	run := func(sched SchedKind, workers int, set *trace.Set) SchedStats {
+	run := func(sched SchedKind, set *trace.Set) SchedStats {
 		t.Helper()
 		cfg := defCfg()
 		cfg.Sched = sched
-		cfg.Workers = workers
 		res, err := Run(set, cfg)
 		if err != nil {
-			t.Fatalf("Run(%v, workers=%d): %v", sched, workers, err)
+			t.Fatalf("Run(%v): %v", sched, err)
 		}
 		return res.Sched
 	}
-	for _, workers := range []int{0, 2} {
-		st := run(SchedCalendar, workers, trace.BufferSet("contention", cpus))
-		if st.LeasedSteps == 0 || st.LeasedSteps > st.Steps {
-			t.Errorf("workers=%d: %d leased steps of %d, want some and no more than all", workers, st.LeasedSteps, st.Steps)
-		}
-		if st.Rollbacks == 0 {
-			t.Errorf("workers=%d: no rollbacks on a contended run: %+v", workers, st)
-		}
+	st := run(SchedCalendar, trace.BufferSet("contention", cpus))
+	if st.LeasedSteps == 0 || st.LeasedSteps > st.Steps {
+		t.Errorf("%d leased steps of %d, want some and no more than all", st.LeasedSteps, st.Steps)
 	}
-	if st := run(SchedCalendar, 0, leaseFree(trace.BufferSet("contention", cpus))); st.LeasedSteps != 0 || st.Rollbacks != 0 {
+	if st.Rollbacks == 0 {
+		t.Errorf("no rollbacks on a contended run: %+v", st)
+	}
+	if st := run(SchedCalendar, leaseFree(trace.BufferSet("contention", cpus))); st.LeasedSteps != 0 || st.Rollbacks != 0 {
 		t.Errorf("lease-free calendar counted leases: %+v", st)
 	}
-	if st := run(SchedPolling, 0, trace.BufferSet("contention", cpus)); st.LeasedSteps != 0 || st.Rollbacks != 0 {
+	if st := run(SchedPolling, trace.BufferSet("contention", cpus)); st.LeasedSteps != 0 || st.Rollbacks != 0 {
 		t.Errorf("polling counted leases: %+v", st)
 	}
 }
 
-// TestParallelSchedEquivalence pins the leasing calendar — inline and with
-// a worker pool at several worker counts — to the lease-free calendar
-// bit-for-bit, invariant checker ON in every run,
-// across lock algorithms and both consistency models. The checker makes
-// this the strongest machine-level gate: every committed state the
-// speculation produces must also satisfy the Illinois, lock and
-// monotonicity invariants mid-run.
+// TestParallelSchedEquivalence pins the leasing calendar to the lease-free
+// calendar bit-for-bit, invariant checker ON in both runs, across lock
+// algorithms and both consistency models. The checker makes this the
+// strongest machine-level gate: every committed state the speculation
+// produces must also satisfy the Illinois, lock and monotonicity
+// invariants mid-run.
 func TestParallelSchedEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const ncpu = 12
 	cpus := contentionTraces(ncpu)
 
-	runWith := func(workers int, rewindable bool, alg locks.Algorithm, cons Consistency) *Result {
+	runWith := func(rewindable bool, alg locks.Algorithm, cons Consistency) *Result {
 		t.Helper()
 		cfg := defCfg()
-		cfg.Workers = workers
 		cfg.Check = true
 		cfg.Lock = alg
 		cfg.Consistency = cons
@@ -120,14 +112,14 @@ func TestParallelSchedEquivalence(t *testing.T) {
 		}
 		m, err := New(set, cfg)
 		if err != nil {
-			t.Fatalf("New(workers=%d): %v", workers, err)
+			t.Fatalf("New: %v", err)
 		}
 		if rewindable && m.par == nil {
 			t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
 		}
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("Run(workers=%d %v %v): %v", workers, alg, cons, err)
+			t.Fatalf("Run(rewindable=%t %v %v): %v", rewindable, alg, cons, err)
 		}
 		res.Config = Config{}
 		res.Sched = SchedStats{}
@@ -136,55 +128,10 @@ func TestParallelSchedEquivalence(t *testing.T) {
 
 	for _, alg := range []locks.Algorithm{locks.Queue, locks.TTS, locks.TTSBackoff} {
 		for _, cons := range []Consistency{SeqConsistent, WeakOrdering} {
-			want := runWith(0, false, alg, cons)
-			for _, workers := range []int{0, 2, 8} {
-				leased := runWith(workers, true, alg, cons)
-				if !reflect.DeepEqual(want, leased) {
-					t.Errorf("%v/%v workers=%d: leased calendar diverges from lease-free:\nlease-free: %+v\nleased:     %+v",
-						alg, cons, workers, want, leased)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelSchedEquivalenceManyCPUs pins the calendar's worker pool to
-// the inline calendar past 64 processors, where the dirty set it walks and
-// the holder index it routes snoops through span two words: the executor
-// must be built and the pool started, and every worker count must match
-// the inline run bit-for-bit, checker on.
-func TestParallelSchedEquivalenceManyCPUs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, ncpu := range []int{72, 128} {
-		cpus := contentionTraces(ncpu)
-		run := func(workers int) *Result {
-			cfg := defCfg()
-			cfg.Workers = workers
-			cfg.Check = true
-			set := trace.BufferSet("manycpu", cpus)
-			m, err := New(set, cfg)
-			if err != nil {
-				t.Fatalf("New(workers=%d): %v", workers, err)
-			}
-			if m.par == nil {
-				t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
-			}
-			if w := m.effectiveWorkers(); workers > 1 && w < 2 {
-				t.Fatalf("%d CPUs, workers=%d: pool of %d, want one to start", ncpu, workers, w)
-			}
-			res, err := m.Run()
-			if err != nil {
-				t.Fatalf("Run(workers=%d): %v", workers, err)
-			}
-			res.Config = Config{}
-			res.Sched = SchedStats{}
-			return res
-		}
-		inline := run(0)
-		for _, workers := range []int{2, 8} {
-			if pooled := run(workers); !reflect.DeepEqual(inline, pooled) {
-				t.Errorf("%d CPUs, workers=%d: pooled calendar diverges from inline:\ninline: %+v\npooled: %+v",
-					ncpu, workers, inline, pooled)
+			want := runWith(false, alg, cons)
+			if leased := runWith(true, alg, cons); !reflect.DeepEqual(want, leased) {
+				t.Errorf("%v/%v: leased calendar diverges from lease-free:\nlease-free: %+v\nleased:     %+v",
+					alg, cons, want, leased)
 			}
 		}
 	}
@@ -208,7 +155,6 @@ func TestParallelFallbackNonRewindable(t *testing.T) {
 		return set
 	}
 	cfg := defCfg()
-	cfg.Workers = 2
 	m, err := New(mkSet(true), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +166,7 @@ func TestParallelFallbackNonRewindable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback run: %v", err)
 	}
-	cfg2 := defCfg()
-	m2, err := New(mkSet(false), cfg2)
+	m2, err := New(mkSet(false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,69 +178,5 @@ func TestParallelFallbackNonRewindable(t *testing.T) {
 	got.Sched, want.Sched = SchedStats{}, SchedStats{}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fallback diverges from calendar:\ncalendar: %+v\nfallback: %+v", want, got)
-	}
-}
-
-// panicSource is a rewindable source that panics after a fixed number of
-// events, modeling a poisoned trace discovered mid-speculation.
-type panicSource struct {
-	inner *trace.Buffer
-	left  int
-}
-
-func (p *panicSource) Next() (trace.Event, bool) {
-	if p.left <= 0 {
-		panic("panicSource: poisoned event")
-	}
-	p.left--
-	return p.inner.Next()
-}
-
-func (p *panicSource) Mark() trace.Mark  { return p.inner.Mark() }
-func (p *panicSource) Seek(m trace.Mark) { p.inner.Seek(m) }
-
-// TestParallelWorkerPanicPropagates: a panic inside a pool worker's
-// speculative advance must surface as a coordinator panic (for the
-// engine's panic barrier to convert), not hang the join or leak the pool.
-func TestParallelWorkerPanicPropagates(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var m *Machine
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("worker panic did not propagate")
-			}
-			if !strings.Contains(r.(string), "parallel advance") || !strings.Contains(r.(string), "poisoned") {
-				t.Fatalf("panic value %q does not carry the worker context", r)
-			}
-		}()
-		cpus := contentionTraces(8)
-		set := trace.BufferSet("poisoned", cpus)
-		for i, src := range set.Sources {
-			// One good event each: the opening Exec burst is consumed by
-			// the cycle-0 pre-dispatched advance, so the poisoned second
-			// event panics inside a pool worker, not on the coordinator.
-			set.Sources[i] = &panicSource{inner: src.(*trace.Buffer), left: 1}
-		}
-		cfg := defCfg()
-		cfg.Workers = 4
-		var err error
-		m, err = New(set, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.par == nil {
-			t.Fatal("speculative executor not built over panicSource (Marker not detected)")
-		}
-		_, _ = m.Run()
-	}()
-	// The deferred pool shutdown must have run despite the panic unwinding
-	// through runCalendar. It closes the job channel, waits until every
-	// worker has returned, and only then clears the channels, so cleared
-	// channels mean no worker is left. (Counting goroutines instead is
-	// racy: the runtime may count a returned worker a moment longer.)
-	if m.par.jobs != nil || m.par.done != nil {
-		t.Error("worker pool not shut down after the panic")
 	}
 }

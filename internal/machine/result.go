@@ -29,11 +29,6 @@ func (r *CPUResult) Utilization() float64 {
 	return float64(r.WorkCycles) / float64(r.FinishTime)
 }
 
-// TotalStall returns all stall cycles of this processor.
-func (r *CPUResult) TotalStall() uint64 {
-	return r.StallMiss + r.StallLock + r.StallBarrier + r.StallDrain
-}
-
 // Result is the outcome of simulating one trace set on one machine
 // configuration: everything needed to print the paper's Tables 3-8 rows.
 type Result struct {

@@ -139,11 +139,11 @@ func TestSchedulerNextAfter(t *testing.T) {
 }
 
 // TestSchedulerSweepCursor pins the multi-word cursor walk the calendar's
-// inline and pooled sweeps use over the dirty set. A CPU marked mid-sweep above
-// the cursor — in the same word or a later one — is visited in the same
-// sweep; one marked at or below the cursor (its own id included) keeps its
-// mark and is visited by the next cycle's sweep, as the polling loop's
-// full in-order scan would.
+// sweep uses over the dirty set. A CPU marked mid-sweep above the cursor —
+// in the same word or a later one — is visited in the same sweep; one
+// marked at or below the cursor (its own id included) keeps its mark and
+// is visited by the next cycle's sweep, as the polling loop's full
+// in-order scan would.
 func TestSchedulerSweepCursor(t *testing.T) {
 	s := newScheduler(200)
 	sweep := func(perturb func(id int)) (visited []int) {
@@ -188,7 +188,8 @@ func TestSchedulerSweepCursor(t *testing.T) {
 // past 64 processors, where the holder index and the calendar's near and
 // dirty sets span two words, checker on, on a workload with real
 // contention: one hot lock, a shared hot line, and per-CPU private
-// traffic.
+// traffic. The calendar must build its speculative executor there: the
+// leases, not a serial fallback, are what is compared.
 func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 	for _, ncpu := range []int{72, 128} {
 		cpus := make([][]trace.Event, ncpu)
@@ -221,6 +222,9 @@ func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 			if _, set := m.holders.lookup(0); len(set) != (ncpu+63)/64 {
 				t.Fatalf("holder index for %d CPUs not built with %d-word slots", ncpu, (ncpu+63)/64)
 			}
+			if sched == SchedCalendar && m.par == nil {
+				t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
+			}
 			res, err := m.Run()
 			if err != nil {
 				t.Fatalf("Run(%v, %v): %v", sched, model, err)
@@ -243,19 +247,18 @@ func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 	}
 }
 
-// requireLoopsAgree runs a trace under polling, the leased calendar, the
-// lease-free calendar (sources wrapped in trace.Func) and the calendar with
-// a worker pool, under both lock families and both consistency models, and
-// requires every loop to finish with polling's result.
+// requireLoopsAgree runs a trace under polling, the leased calendar and
+// the lease-free calendar (sources wrapped in trace.Func), under both lock
+// families and both consistency models, and requires every loop to finish
+// with polling's result.
 func requireLoopsAgree(t *testing.T, cpus [][]trace.Event) {
 	t.Helper()
 	for _, model := range []locks.Algorithm{locks.Queue, locks.TTS} {
 		for _, cons := range []Consistency{SeqConsistent, WeakOrdering} {
-			run := func(loop string, sched SchedKind, workers int, rewindable bool) *Result {
+			run := func(loop string, sched SchedKind, rewindable bool) *Result {
 				t.Helper()
 				cfg := defCfg()
 				cfg.Sched = sched
-				cfg.Workers = workers
 				cfg.Lock = model
 				cfg.Consistency = cons
 				cfg.Check = true
@@ -271,18 +274,15 @@ func requireLoopsAgree(t *testing.T, cpus [][]trace.Event) {
 				res.Sched = SchedStats{}
 				return res
 			}
-			want := run("polling", SchedPolling, 0, true)
+			want := run("polling", SchedPolling, true)
 			for _, c := range []struct {
 				loop       string
-				sched      SchedKind
-				workers    int
 				rewindable bool
 			}{
-				{"leased calendar", SchedCalendar, 0, true},
-				{"lease-free calendar", SchedCalendar, 0, false},
-				{"calendar, 2 workers", SchedCalendar, 2, true},
+				{"leased calendar", true},
+				{"lease-free calendar", false},
 			} {
-				if got := run(c.loop, c.sched, c.workers, c.rewindable); !reflect.DeepEqual(got, want) {
+				if got := run(c.loop, SchedCalendar, c.rewindable); !reflect.DeepEqual(got, want) {
 					t.Errorf("%v/%v: %s diverges from polling:\npolling: %+v\n%s: %+v",
 						model, cons, c.loop, want, c.loop, got)
 				}

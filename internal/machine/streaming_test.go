@@ -8,10 +8,10 @@ import (
 )
 
 // A streaming trace cannot be rewound, so the calendar must detect the
-// missing Marker capability, skip building the speculative executor (and
-// with it any worker pool), and step every processor serially — producing
-// the exact Result a run over the same materialised trace does. This is
-// the streaming→serial fallback rule of DESIGN §17.
+// missing Marker capability, skip building the speculative executor, and
+// step every processor serially — producing the exact Result a run over
+// the same materialised trace does. This is the streaming→serial fallback
+// rule of DESIGN §17.
 func TestParallelStreamingFallback(t *testing.T) {
 	const ncpu = 4
 	cpus := contentionTraces(ncpu)
@@ -42,7 +42,6 @@ func TestParallelStreamingFallback(t *testing.T) {
 		ring.Close(nil)
 	}()
 
-	cfg.Workers = 4
 	m, err := New(ring.Set(), cfg)
 	if err != nil {
 		t.Fatal(err)

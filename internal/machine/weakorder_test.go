@@ -202,7 +202,8 @@ func randomWorkload(rng *rand.Rand, n, nlocks int) []trace.Event {
 
 // TestRandomTracesComplete is the machine's liveness property: any
 // well-formed trace set completes without deadlock under every
-// (lock, consistency) combination, with coherent caches afterwards.
+// (lock, consistency) combination, with the invariant checker on, so the
+// caches stay coherent and no lock is left held.
 func TestRandomTracesComplete(t *testing.T) {
 	configs := []Config{}
 	for _, lk := range []locks.Algorithm{locks.Queue, locks.TTS} {
@@ -211,6 +212,7 @@ func TestRandomTracesComplete(t *testing.T) {
 			cfg.Lock = lk
 			cfg.Consistency = cm
 			cfg.MaxCycles = 2_000_000
+			cfg.Check = true
 			configs = append(configs, cfg)
 		}
 	}
@@ -225,28 +227,14 @@ func TestRandomTracesComplete(t *testing.T) {
 			return true // skip malformed generations (should not happen)
 		}
 		for _, cfg := range configs {
-			set := trace.BufferSet("rnd", cpus)
 			// Buffers are consumed; rebuild per config.
 			copied := make([][]trace.Event, ncpu)
 			for i := range cpus {
 				copied[i] = append([]trace.Event(nil), cpus[i]...)
 			}
-			set = trace.BufferSet("rnd", copied)
-			m, err := New(set, cfg)
-			if err != nil {
-				return false
-			}
-			res, err := m.Run()
+			res, err := Run(trace.BufferSet("rnd", copied), cfg)
 			if err != nil {
 				t.Logf("seed %d cfg %v/%v: %v", seed, cfg.Lock, cfg.Consistency, err)
-				return false
-			}
-			if err := m.CheckCoherence(); err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
-			}
-			if m.locks.AnyHeld() {
-				t.Logf("seed %d: locks still held", seed)
 				return false
 			}
 			// Work cycles are trace-determined, identical across configs.

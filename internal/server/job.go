@@ -70,10 +70,13 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 	default:
 		return simJob{}, fmt.Errorf("unknown sched %q (want calendar)", req.Sched)
 	}
+	// "workers" once sized the calendar's speculation pool. Like the
+	// "parallel" alias it is accepted and ignored: any non-negative count
+	// is served, keyed and echoed as 0.
 	if req.Workers < 0 {
 		return simJob{}, fmt.Errorf("negative workers %d", req.Workers)
 	}
-	cfg.Workers = req.Workers
+	req.Workers = 0
 	cfg.Check = req.Check
 
 	params := workload.Params{NCPU: req.NCPU, Scale: req.Scale, Seed: req.Seed}
@@ -89,11 +92,9 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 		prog:   b.Program,
 		params: params,
 		cfg:    cfg,
-		// Workers is keyed although every worker count produces identical
-		// statistics: the payload echoes the request and the result's
-		// config, which must reflect what was asked for. Sched is always
-		// "calendar" here; it stays in the key so that keys written
-		// before "parallel" became an alias still match.
+		// Sched is always "calendar" and Workers always 0 here; both stay
+		// in the key so that its format, and the entries stored under it,
+		// stay as they were.
 		key: fmt.Sprintf("sim|%s|%d|%g|%d|%s|%s|%s|%d|%t",
 			k.Workload, k.NCPU, k.Scale, k.Seed, req.Lock, req.Cons, req.Sched, req.Workers, req.Check),
 	}

@@ -93,48 +93,45 @@ func TestEndToEndSim(t *testing.T) {
 	}
 }
 
-// TestEndToEndSimParallelSched serves the same simulation inline and with
-// a worker pool and demands identical statistics on the wire: workers are
-// an implementation knob, never an observable one. Workers are part of the
-// result cache key (the echoed request and config differ), while
-// "parallel" is only an alias of the calendar: a request spelled with it
-// shares the calendar request's cache entry and echoes "calendar".
+// TestEndToEndSimParallelSched pins the fold of the two retired
+// scheduler knobs: "workers" and the "parallel" alias are accepted and
+// ignored. A request that sets either is served from the result entry of
+// the request that sets neither, and echoes sched "calendar" and no
+// workers.
 func TestEndToEndSimParallelSched(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	serial, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3}`)
+	plain, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3}`)
 	if resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("serial: status = %d, want 200", resp.StatusCode)
+		t.Fatalf("plain: status = %d, want 200", resp.StatusCode)
 	}
-	pooled, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"workers":4}`)
-	if resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("workers: status = %d, want 200", resp.StatusCode)
+	if plain.Served != "run" {
+		t.Errorf("plain served = %q, want run", plain.Served)
 	}
-	if serial.Served != "run" || pooled.Served != "run" {
-		t.Errorf("served = %q, %q, want run, run (workers must be part of the cache key)", serial.Served, pooled.Served)
-	}
-	if serial.Request.Sched != "calendar" || pooled.Request.Sched != "calendar" || pooled.Request.Workers != 4 {
-		t.Errorf("request echoes = %+v, %+v, want sched calendar and workers 4", serial.Request, pooled.Request)
-	}
-	sr, pr := *serial.Result, *pooled.Result
-	sr.Config, pr.Config = machine.Config{}, machine.Config{}
-	sr.Sched, pr.Sched = machine.SchedStats{}, machine.SchedStats{}
-	if !reflect.DeepEqual(sr, pr) {
-		t.Errorf("pooled result diverges from inline over the wire:\ninline: %+v\npooled: %+v", sr, pr)
-	}
-
-	alias, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"sched":"parallel","workers":4}`)
-	if resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("parallel alias: status = %d, want 200", resp.StatusCode)
-	}
-	if alias.Served != "cache" {
-		t.Errorf("parallel alias served = %q, want cache (same entry as the calendar request)", alias.Served)
-	}
-	if alias.Request.Sched != "calendar" || alias.Result.Config.Sched != machine.SchedCalendar {
-		t.Errorf("parallel alias echoes sched %q, config sched %v, want calendar", alias.Request.Sched, alias.Result.Config.Sched)
+	for _, body := range []string{
+		`{"bench":"Qsort","scale":0.01,"seed":3,"workers":4}`,
+		`{"bench":"Qsort","scale":0.01,"seed":3,"sched":"parallel","workers":4}`,
+	} {
+		got, resp := postSim(t, ts, body)
+		if resp == nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200", body, resp.StatusCode)
+		}
+		if got.Served != "cache" {
+			t.Errorf("%s: served = %q, want cache (the entry of the plain request)", body, got.Served)
+		}
+		if got.Request != plain.Request {
+			t.Errorf("%s: request echo = %+v, want %+v", body, got.Request, plain.Request)
+		}
+		if got.Request.Sched != "calendar" || got.Request.Workers != 0 || got.Result.Config.Workers != 0 {
+			t.Errorf("%s: echoes sched %q, workers %d, config workers %d; want calendar, 0, 0",
+				body, got.Request.Sched, got.Request.Workers, got.Result.Config.Workers)
+		}
+		if !reflect.DeepEqual(got.Result, plain.Result) {
+			t.Errorf("%s: result diverges from the plain request's", body)
+		}
 	}
 }
 
