@@ -109,7 +109,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	if *normalize {
-		return normalizeSweep(stdin, stdout)
+		return normalizeResponse(stdin, stdout)
 	}
 
 	var urls []string
@@ -195,10 +195,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// normalizeSweep strips the volatile fields from one sweep response so
+// normalizeResponse strips the volatile fields from one sweep response so
 // two responses for the same request — fleet or single node, computed or
 // cached — compare byte-for-byte equal.
-func normalizeSweep(stdin io.Reader, stdout io.Writer) error {
+func normalizeResponse(stdin io.Reader, stdout io.Writer) error {
 	blob, err := io.ReadAll(stdin)
 	if err != nil {
 		return err

@@ -75,6 +75,7 @@ type SweepRequest struct {
 	// Seed drives generation randomness.
 	Seed int64 `json:"seed,omitempty"`
 	// Models restricts the machine models (queue, tts, wo); empty = all.
+	// Repeated models are dropped, keeping first-seen order.
 	Models []string `json:"models,omitempty"`
 	// Only restricts the benchmarks by name; empty = all six.
 	Only []string `json:"only,omitempty"`

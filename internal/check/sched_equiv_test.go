@@ -3,10 +3,11 @@ package check
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"syncsim/internal/core"
-	"syncsim/internal/engine"
 	"syncsim/internal/machine"
 	"syncsim/internal/workload"
 	"syncsim/internal/workload/suite"
@@ -32,38 +33,65 @@ func schedEquivSuite(t *testing.T, sched machine.SchedKind) []*core.Outcome {
 }
 
 // leaseFreeSuite runs the full benchmark suite at the golden corpus scale
-// under the default calendar, as streamed engine tasks. A streamed trace
-// cannot rewind, so the calendar runs without leases: every processor
-// visit is a serial step.
+// under the default calendar, each cell over a streamed trace, GOMAXPROCS
+// cells at a time. A streamed trace cannot rewind, so the calendar runs
+// without leases: every processor visit is a serial step.
 func leaseFreeSuite(t *testing.T) []*core.Outcome {
 	t.Helper()
 	params := workload.Params{Scale: GoldenScale, Seed: GoldenSeed}
 	benches := suite.All()
-	var tasks []engine.Task
-	for _, b := range benches {
-		for _, model := range equivModels {
-			tasks = append(tasks, engine.Task{
-				Program: b.Program, Params: params, Label: model.String(),
-				Config: model.MachineConfig(machine.DefaultConfig()), Stream: true,
-			})
+	results := make([]*machine.Result, len(benches)*len(equivModels))
+	errs := make([]error, len(results))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, b := range benches {
+		for j, model := range equivModels {
+			k := i*len(equivModels) + j
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				results[k], errs[k] = streamCell(b.Program, params, model.MachineConfig(machine.DefaultConfig()))
+			}()
 		}
 	}
-	results, _, err := engine.New(engine.Config{}).Run(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("lease-free suite: %v", err)
-	}
+	wg.Wait()
+
 	outs := make([]*core.Outcome, len(benches))
 	for i, b := range benches {
 		outs[i] = &core.Outcome{Name: b.Program.Name(), Results: make(map[core.Model]*machine.Result)}
 		for j, model := range equivModels {
-			res := results[i*len(equivModels)+j].Result
-			if res.Sched.LeasedSteps != 0 {
-				t.Fatalf("%s/%v: the lease-free reference leased %d steps", outs[i].Name, model, res.Sched.LeasedSteps)
+			k := i*len(equivModels) + j
+			if errs[k] != nil {
+				t.Fatalf("lease-free %s/%v: %v", outs[i].Name, model, errs[k])
 			}
-			outs[i].Results[model] = res
+			if leased := results[k].Sched.LeasedSteps; leased != 0 {
+				t.Fatalf("%s/%v: the lease-free reference leased %d steps", outs[i].Name, model, leased)
+			}
+			outs[i].Results[model] = results[k]
 		}
 	}
 	return outs
+}
+
+// streamCell simulates prog over a streamed trace. A generation failure
+// truncates the stream, so the machine would finish over a partial trace:
+// the producer's error overrides the result.
+func streamCell(prog workload.Program, p workload.Params, cfg machine.Config) (*machine.Result, error) {
+	set, h, err := workload.StreamTraces(prog, p, 0)
+	if err != nil {
+		return nil, err
+	}
+	res, err := machine.RunCtx(context.Background(), set, cfg)
+	if err != nil {
+		h.Abort()
+		return nil, err
+	}
+	if err := h.Wait(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // assertSuitesEqual pins two suite runs bit-for-bit: every Result field —

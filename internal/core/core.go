@@ -51,6 +51,20 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
+// Models returns the three models in the paper's table order.
+func Models() []Model { return []Model{ModelQueue, ModelTTS, ModelWO} }
+
+// ParseModel returns the model whose String is name: the inverse of
+// String over the defined models.
+func ParseModel(name string) (Model, error) {
+	for m := ModelQueue; m < numModels; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q (want queue, tts, wo)", name)
+}
+
 // MachineConfig returns the machine configuration of a model, derived from
 // a base configuration (typically machine.DefaultConfig()).
 func (m Model) MachineConfig(base machine.Config) machine.Config {
@@ -204,7 +218,7 @@ func WithCache(c *engine.TraceCache) Option {
 // models returns the models to simulate; nil selects all three.
 func (o Options) models() []Model {
 	if o.Models == nil {
-		return []Model{ModelQueue, ModelTTS, ModelWO}
+		return Models()
 	}
 	return o.Models
 }

@@ -32,6 +32,23 @@ func TestModelConfigs(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	for _, m := range Models() {
+		if got, err := ParseModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", m, got, err, m)
+		}
+	}
+	for _, name := range []string{"bogus", "WO", "Model(3)", ""} {
+		if _, err := ParseModel(name); err == nil {
+			t.Errorf("ParseModel(%q) accepted an unknown name", name)
+		}
+	}
+	_, err := ParseModel("x")
+	if want := `unknown model "x" (want queue, tts, wo)`; err == nil || err.Error() != want {
+		t.Errorf("ParseModel(%q) error = %v, want %q", "x", err, want)
+	}
+}
+
 func TestRunBenchmarkAllModels(t *testing.T) {
 	b, err := suite.ByName("Pdsa")
 	if err != nil {

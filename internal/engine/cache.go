@@ -59,7 +59,7 @@ type TraceCache struct {
 	entries *flight.LRU[Key, *cacheEntry]
 	fills   *flight.Group[Key, *cacheEntry]
 
-	hits, misses, bypassed atomic.Int64
+	hits, misses atomic.Int64
 }
 
 // cacheEntry is one generated trace, or the deterministic error its
@@ -102,11 +102,6 @@ type CacheStats struct {
 	// Misses counts lookups that had to generate, and Evictions counts
 	// entries displaced by the LRU bound.
 	Hits, Misses, Evictions int64
-	// Bypassed counts streaming tasks that deliberately skipped the cache:
-	// a streamed trace is consumed as it is generated and cannot be
-	// memoised (its sources have no Cloner), so the engine routes such
-	// runs around the cache and records them here.
-	Bypassed int64
 }
 
 // Stats returns the cache's cumulative lookup statistics.
@@ -116,12 +111,8 @@ func (c *TraceCache) Stats() CacheStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.entries.Evictions(),
-		Bypassed:  c.bypassed.Load(),
 	}
 }
-
-// NoteBypass records one deliberate cache bypass (a streaming run).
-func (c *TraceCache) NoteBypass() { c.bypassed.Add(1) }
 
 // Get returns a fresh replay cursor set and the ideal statistics for the
 // program under the given parameters, generating and analysing the trace

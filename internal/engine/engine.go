@@ -42,17 +42,6 @@ type Task struct {
 	// IdealOnly skips simulation: the task only generates the trace and
 	// computes ideal statistics (the paper's Tables 1-2 need no machine).
 	IdealOnly bool
-	// Stream pipes generation straight into the simulator through a
-	// bounded ring instead of materialising the trace: memory stays
-	// O(StreamBudget) instead of O(trace). The trace cache is bypassed
-	// (CacheStats.Bypassed), no ideal statistics are computed (Ideal is
-	// the zero Summary — AnalyzeIdeal would consume the stream), and the
-	// machine steps every processor serially: a stream cannot rewind, so
-	// no speculative lease is taken. Incompatible with IdealOnly.
-	Stream bool
-	// StreamBudget is the ring's total event budget across CPUs when
-	// streaming; 0 selects workload.DefaultStreamBudget.
-	StreamBudget int
 	// Metrics enables the per-task RunReport in the result.
 	Metrics bool
 }
@@ -182,11 +171,7 @@ feeding:
 
 	report := metrics.SuiteReport{Workers: workers}
 	for i := range results {
-		rep := results[i].Report
-		if tasks[i].Stream {
-			rep.Runs = 0 // a stream bypasses the trace cache: no lookup to count
-		}
-		report.Add(rep)
+		report.Add(results[i].Report)
 		if !tasks[i].Metrics {
 			results[i].Report = metrics.RunReport{}
 		}
@@ -224,9 +209,6 @@ func (e *Engine) runTask(ctx context.Context, t *Task) (TaskResult, error) {
 	if e.chaos.Should(chaos.WorkerPanic) {
 		panic(fmt.Sprintf("chaos: injected worker panic (%s/%s)", t.Program.Name(), t.Label))
 	}
-	if t.Stream {
-		return e.runStreamTask(ctx, t)
-	}
 	wallStart := time.Now()
 	set, ideal, info, err := e.cache.Get(ctx, t.Program, t.Params, e.progressf)
 	if err == nil && e.chaos.Should(chaos.DecodeFault) {
@@ -237,7 +219,11 @@ func (e *Engine) runTask(ctx context.Context, t *Task) (TaskResult, error) {
 	}
 
 	out := TaskResult{Ideal: ideal}
-	var simWall time.Duration
+	r := &out.Report
+	r.Generate, r.Analyze, r.Runs = info.Generate, info.Analyze, 1
+	if info.Hit {
+		r.CacheHits = 1
+	}
 	if !t.IdealOnly {
 		e.progressf("%s: simulating %s", t.Program.Name(), t.Label)
 		simStart := time.Now()
@@ -245,56 +231,12 @@ func (e *Engine) runTask(ctx context.Context, t *Task) (TaskResult, error) {
 		if err != nil {
 			return TaskResult{}, err
 		}
-		simWall = time.Since(simStart)
-		out.Result = res
-	}
-	out.Report = runReport(out.Result, simWall, wallStart)
-	out.Report.Generate, out.Report.Analyze = info.Generate, info.Analyze
-	if info.Hit {
-		out.Report.CacheHits = 1
-	}
-	return out, nil
-}
-
-// runStreamTask is the streaming variant of runTask: generation and
-// simulation run concurrently, coupled by a bounded ring. Nothing is
-// cached and no ideal analysis happens — the events exist only in flight.
-func (e *Engine) runStreamTask(ctx context.Context, t *Task) (TaskResult, error) {
-	if t.IdealOnly {
-		return TaskResult{}, fmt.Errorf("engine: %s/%s: Stream and IdealOnly are mutually exclusive", t.Program.Name(), t.Label)
-	}
-	e.cache.NoteBypass()
-	e.progressf("%s: streaming %s", t.Program.Name(), t.Label)
-	wallStart := time.Now()
-	set, h, err := workload.StreamTraces(t.Program, t.Params, t.StreamBudget)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	res, simErr := machine.RunCtx(ctx, set, t.Config)
-	if simErr != nil {
-		h.Abort()
-		return TaskResult{}, simErr
-	}
-	// A generation failure truncates the stream: the machine then finishes
-	// "successfully" over a partial trace, so the producer's error must
-	// override the simulation result.
-	if err := h.Wait(); err != nil {
-		return TaskResult{}, fmt.Errorf("engine: generate %s: %w", t.Program.Name(), err)
-	}
-	// Generation runs inside the simulation here, so its time is simulate
-	// time. A stream cannot rewind, so the lease counters stay zero.
-	return TaskResult{Result: res, Report: runReport(res, time.Since(wallStart), wallStart)}, nil
-}
-
-// runReport starts one task's report: a single run, its simulation time,
-// its wall time since wallStart, and the machine's cycle and scheduler
-// counters (zero for an ideal-only task, whose res is nil).
-func runReport(res *machine.Result, simulate time.Duration, wallStart time.Time) metrics.RunReport {
-	r := metrics.RunReport{Simulate: simulate, Wall: time.Since(wallStart), Runs: 1}
-	if res != nil {
+		r.Simulate = time.Since(simStart)
 		r.SimCycles = res.RunTime
 		r.SchedIters, r.SchedSteps = res.Sched.Iterations, res.Sched.Steps
 		r.SchedLeasedSteps, r.SchedRollbacks = res.Sched.LeasedSteps, res.Sched.Rollbacks
+		out.Result = res
 	}
-	return r
+	r.Wall = time.Since(wallStart)
+	return out, nil
 }

@@ -295,7 +295,7 @@ func (c *Coordinator) runSweep(ctx context.Context, plan server.SweepPlan) (*api
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]cellResult, len(plan.Cells))
+	payloads := make([]*api.SimPayload, len(plan.Cells))
 	errs := make([]error, len(plan.Cells))
 	sem := make(chan struct{}, c.cfg.CellConcurrency)
 	var wg sync.WaitGroup
@@ -316,7 +316,7 @@ func (c *Coordinator) runSweep(ctx context.Context, plan server.SweepPlan) (*api
 				cancel() // no point finishing a sweep that cannot merge
 				return
 			}
-			results[i] = cellResult{cell: cell, payload: payload}
+			payloads[i] = payload
 		}(i, cell)
 	}
 	wg.Wait()
@@ -325,7 +325,7 @@ func (c *Coordinator) runSweep(ctx context.Context, plan server.SweepPlan) (*api
 			return nil, err
 		}
 	}
-	return MergeSweep(plan, results)
+	return server.MergeSweep(plan, payloads)
 }
 
 // runCell serves one cell: shared store first, then — deduplicated

@@ -437,6 +437,15 @@ func okPayload(cell server.SweepCell) *api.SimPayload {
 	}
 }
 
+// okPayloads answers every cell of a plan with okPayload, in plan order.
+func okPayloads(plan server.SweepPlan) []*api.SimPayload {
+	out := make([]*api.SimPayload, len(plan.Cells))
+	for i, cell := range plan.Cells {
+		out[i] = okPayload(cell)
+	}
+	return out
+}
+
 // TestMergeSweepRejectsHoles: a missing, incomplete, or duplicate cell
 // set is a merge error, never a silently partial sweep.
 func TestMergeSweepRejectsHoles(t *testing.T) {
@@ -444,23 +453,26 @@ func TestMergeSweepRejectsHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := make([]cellResult, len(plan.Cells))
-	for i, cell := range plan.Cells {
-		full[i] = cellResult{cell: cell, payload: okPayload(cell)}
-	}
+	full := okPayloads(plan)
 
-	if _, err := MergeSweep(plan, full[:len(full)-1]); err == nil {
-		t.Error("merge with fewer results than plan cells succeeded")
+	if _, err := server.MergeSweep(plan, full[:len(full)-1]); err == nil {
+		t.Error("merge with fewer payloads than plan cells succeeded")
 	}
-	hole := append([]cellResult{}, full...)
-	hole[0].payload = nil
-	if _, err := MergeSweep(plan, hole); err == nil {
+	hole := append([]*api.SimPayload{}, full...)
+	hole[0] = nil
+	if _, err := server.MergeSweep(plan, hole); err == nil {
 		t.Error("merge with nil payload succeeded")
 	}
-	dup := append([]cellResult{}, full...)
-	dup[1] = dup[0] // cell 0 twice, cell 1 absent
-	if _, err := MergeSweep(plan, dup); err == nil {
+	dup := append([]*api.SimPayload{}, full...)
+	dup[1] = dup[0] // cell 0's answer twice, cell 1's absent
+	if _, err := server.MergeSweep(plan, dup); err == nil {
 		t.Error("merge with duplicate cell succeeded")
+	}
+	twice := plan
+	twice.Cells = append([]server.SweepCell{}, plan.Cells...)
+	twice.Cells[1] = twice.Cells[0] // a plan naming cell 0 twice
+	if _, err := server.MergeSweep(twice, okPayloads(twice)); err == nil {
+		t.Error("merge of a plan with a duplicate cell succeeded")
 	}
 }
 
@@ -471,7 +483,7 @@ func TestMergeSweepRejectsHoles(t *testing.T) {
 // benchmark) fails the sweep rather than poisoning its bytes.
 func TestMergeSweepEdgePaths(t *testing.T) {
 	t.Run("empty sweep", func(t *testing.T) {
-		p, err := MergeSweep(server.SweepPlan{}, nil)
+		p, err := server.MergeSweep(server.SweepPlan{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +500,7 @@ func TestMergeSweepEdgePaths(t *testing.T) {
 	t.Run("single cell", func(t *testing.T) {
 		solo := plan
 		solo.Cells = plan.Cells[:1]
-		p, err := MergeSweep(solo, []cellResult{{cell: solo.Cells[0], payload: okPayload(solo.Cells[0])}})
+		p, err := server.MergeSweep(solo, okPayloads(solo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,30 +513,73 @@ func TestMergeSweepEdgePaths(t *testing.T) {
 	})
 
 	t.Run("wrong request echo", func(t *testing.T) {
-		results := make([]cellResult, len(plan.Cells))
-		for i, cell := range plan.Cells {
-			results[i] = cellResult{cell: cell, payload: okPayload(cell)}
-		}
-		bad := *results[0].payload
+		payloads := okPayloads(plan)
+		bad := *payloads[0]
 		bad.Request.Seed++ // a payload computed for someone else's cell
-		results[0].payload = &bad
-		if _, err := MergeSweep(plan, results); err == nil {
+		payloads[0] = &bad
+		if _, err := server.MergeSweep(plan, payloads); err == nil {
 			t.Error("merge accepted a payload echoing the wrong request")
 		}
 	})
 
 	t.Run("wrong result name", func(t *testing.T) {
-		results := make([]cellResult, len(plan.Cells))
-		for i, cell := range plan.Cells {
-			results[i] = cellResult{cell: cell, payload: okPayload(cell)}
-		}
-		bad := *results[0].payload
+		payloads := okPayloads(plan)
+		bad := *payloads[0]
 		bad.Result = &machine.Result{Name: "Grav"}
-		results[0].payload = &bad
-		if _, err := MergeSweep(plan, results); err == nil {
+		payloads[0] = &bad
+		if _, err := server.MergeSweep(plan, payloads); err == nil {
 			t.Error("merge accepted a result named for another benchmark")
 		}
 	})
+}
+
+// TestFleetSweepRepeatedModels: a sweep that names one model twice plans
+// one cell per benchmark on the coordinator, as on a node, so both answer
+// it with 200 and agree byte for byte after canonicalisation. While the
+// coordinator planned a cell per repetition, its merge failed the sweep
+// with a 502 ("duplicate cell Qsort/queue").
+func TestFleetSweepRepeatedModels(t *testing.T) {
+	b := startBackend(t, server.Config{Workers: 2}, nil)
+	coord, err := New(Config{
+		Backends:       []string{b.url},
+		Pool:           fastPool(),
+		HealthInterval: time.Hour,
+		HedgeAfter:     -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	body := `{"scale":0.01,"seed":3,"only":["Qsort"],"models":["queue","queue"]}`
+	var req api.SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := server.PlanSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Cells) != 1 {
+		t.Errorf("plan has %d cells, want 1", len(plan.Cells))
+	}
+	if want := "sweep|0.01|3|queue|Qsort"; plan.Key != want {
+		t.Errorf("plan key %q, want %q", plan.Key, want)
+	}
+
+	got := postSweep(t, ts.URL, body)
+	if m := got.Request.Models; len(m) != 1 || m[0] != "queue" {
+		t.Errorf("coordinator echoes models %q, want [queue]", m)
+	}
+	if cells := coord.Status().Cells; cells != 1 {
+		t.Errorf("coordinator ran %d cells, want 1", cells)
+	}
+	want := postSweep(t, b.url, body)
+	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
+		t.Errorf("coordinator sweep != node sweep\ncoordinator:\n%s\nnode:\n%s", g, w)
+	}
 }
 
 // TestFleetCoalescesCells: two concurrent identical /v1/sim requests

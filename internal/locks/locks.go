@@ -328,16 +328,6 @@ func (m *Manager) HeldBy(cpu int) []uint32 {
 	return ids
 }
 
-// AnyHeld reports whether any lock is still owned at the end of a run.
-func (m *Manager) AnyHeld() bool {
-	for _, ls := range m.locks {
-		if ls.owner != NoOwner {
-			return true
-		}
-	}
-	return false
-}
-
 // PerLock returns per-lock acquisition and transfer counts for analyses
 // like the hot-lock report.
 func (m *Manager) PerLock() map[uint32]LockInfo {

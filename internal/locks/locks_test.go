@@ -245,7 +245,7 @@ func TestWaiterHistogram(t *testing.T) {
 
 func TestHeldByAndAnyHeld(t *testing.T) {
 	m := NewManager()
-	if m.AnyHeld() {
+	if len(m.HeldLocks()) != 0 {
 		t.Fatal("fresh manager reports held locks")
 	}
 	m.Request(0, 1, 0x40, 0)
@@ -254,13 +254,13 @@ func TestHeldByAndAnyHeld(t *testing.T) {
 	if len(held) != 2 {
 		t.Fatalf("HeldBy = %v", held)
 	}
-	if !m.AnyHeld() {
-		t.Fatal("AnyHeld false with owned locks")
+	if len(m.HeldLocks()) == 0 {
+		t.Fatal("HeldLocks empty with owned locks")
 	}
 	m.Release(0, 1, 10)
 	m.Release(0, 2, 10)
-	if m.AnyHeld() {
-		t.Fatal("AnyHeld true after all releases")
+	if len(m.HeldLocks()) != 0 {
+		t.Fatal("HeldLocks non-empty after all releases")
 	}
 }
 

@@ -24,9 +24,6 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := api.CapabilitiesResponse{
-		Models: []string{
-			core.ModelQueue.String(), core.ModelTTS.String(), core.ModelWO.String(),
-		},
 		Locks: []string{
 			locks.Queue.String(), locks.TTS.String(),
 			locks.QueueExact.String(), locks.TTSBackoff.String(),
@@ -39,6 +36,9 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 			Perturbations:    api.Perturbations(),
 			DefaultThreshold: replay.DefaultThreshold,
 		},
+	}
+	for _, m := range core.Models() {
+		resp.Models = append(resp.Models, m.String())
 	}
 	for _, b := range suite.All() {
 		resp.Benchmarks = append(resp.Benchmarks, api.BenchmarkInfo{

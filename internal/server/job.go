@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"syncsim/internal/api"
-	"syncsim/internal/core"
 	"syncsim/internal/engine"
 	"syncsim/internal/locks"
 	"syncsim/internal/machine"
@@ -199,55 +198,4 @@ func AnalyzeJobForRequest(req api.AnalyzeRequest) (replay.Job, error) {
 		return replay.Job{}, err
 	}
 	return replay.Job{Prog: job.prog, Params: job.params, Config: job.cfg, Request: job.req}, nil
-}
-
-// sweepJob is a validated SweepRequest.
-type sweepJob struct {
-	req    api.SweepRequest
-	models []core.Model
-	sel    suite.Selection
-	key    string
-}
-
-func normalizeSweep(req api.SweepRequest) (sweepJob, error) {
-	if req.Scale == 0 {
-		req.Scale = defaultScale
-	}
-	if req.Scale < 0 {
-		return sweepJob{}, fmt.Errorf("negative scale %v", req.Scale)
-	}
-	var models []core.Model
-	seen := map[string]bool{}
-	for _, m := range req.Models {
-		if seen[m] {
-			continue
-		}
-		seen[m] = true
-		switch m {
-		case "queue":
-			models = append(models, core.ModelQueue)
-		case "tts":
-			models = append(models, core.ModelTTS)
-		case "wo":
-			models = append(models, core.ModelWO)
-		default:
-			return sweepJob{}, fmt.Errorf("unknown model %q (want queue, tts, wo)", m)
-		}
-	}
-	if models == nil {
-		models = []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
-		req.Models = []string{"queue", "tts", "wo"}
-	}
-	sel, err := suite.NewSelection(req.Only...)
-	if err != nil {
-		return sweepJob{}, err
-	}
-	req.Only = sel.Names()
-	return sweepJob{
-		req:    req,
-		models: models,
-		sel:    sel,
-		key: fmt.Sprintf("sweep|%g|%d|%s|%s",
-			req.Scale, req.Seed, strings.Join(req.Models, ","), strings.Join(req.Only, ",")),
-	}, nil
 }

@@ -17,40 +17,12 @@ import (
 	"syncsim/internal/workload/suite"
 )
 
-// TestPlanMatchesCoreModels pins plan.go's model → lock/cons wire mapping
-// against core.Model.MachineConfig: a cell request built from modelWire
-// must normalise to the exact machine.Config the sweep path hands the
-// engine for that model. If core ever changes a model's configuration,
-// this fails before the fleet starts returning subtly different sweeps.
-func TestPlanMatchesCoreModels(t *testing.T) {
-	coreModels := map[string]core.Model{
-		"queue": core.ModelQueue,
-		"tts":   core.ModelTTS,
-		"wo":    core.ModelWO,
-	}
-	if len(coreModels) != len(modelWire) {
-		t.Fatalf("modelWire has %d entries, core has %d models", len(modelWire), len(coreModels))
-	}
-	for name, m := range coreModels {
-		w, ok := modelWire[name]
-		if !ok {
-			t.Fatalf("modelWire missing %q", name)
-		}
-		job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Lock: w.lock, Cons: w.cons})
-		if err != nil {
-			t.Fatalf("model %s: %v", name, err)
-		}
-		want := m.MachineConfig(machine.DefaultConfig())
-		if !reflect.DeepEqual(job.cfg, want) {
-			t.Errorf("model %s: planned config %+v != core config %+v", name, job.cfg, want)
-		}
-	}
-}
-
-// TestPlanSweepGrid: the plan expands to the suite × model grid in the
-// exact order core's runMatrix enumerates, every model of one benchmark
-// shares the benchmark's trace routing key, and the sweep/cell cache keys
-// are the very strings the server's own normalisation produces.
+// TestPlanSweepGrid: the plan expands to the suite × model grid in table
+// order, model by model within each benchmark; every model of one
+// benchmark shares the benchmark's trace routing key; the sweep key keeps
+// its stored format; and each cell key and machine config are the very
+// ones the server's own sim normalisation produces, the config being
+// core.Model.MachineConfig's.
 func TestPlanSweepGrid(t *testing.T) {
 	plan, err := PlanSweep(api.SweepRequest{Scale: 0.05, Seed: 7})
 	if err != nil {
@@ -61,12 +33,8 @@ func TestPlanSweepGrid(t *testing.T) {
 	if want := len(benches) * len(models); len(plan.Cells) != want {
 		t.Fatalf("cells = %d, want %d", len(plan.Cells), want)
 	}
-	job, err := normalizeSweep(api.SweepRequest{Scale: 0.05, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Key != job.key {
-		t.Errorf("plan key %q != server sweep key %q", plan.Key, job.key)
+	if want := "sweep|0.05|7|queue,tts,wo|Grav,Pdsa,FullConn,Pverify,Qsort,Topopt"; plan.Key != want {
+		t.Errorf("plan key %q, want %q", plan.Key, want)
 	}
 	if plan.Params.Scale != 0.05 || plan.Params.Seed != 7 || plan.Params.NCPU != 0 {
 		t.Errorf("plan params = %+v, want scale 0.05 seed 7 ncpu 0", plan.Params)
@@ -89,6 +57,14 @@ func TestPlanSweepGrid(t *testing.T) {
 			if cell.Plan.Key != sj.key {
 				t.Errorf("cell %s/%s key %q != normalised key %q", b, m, cell.Plan.Key, sj.key)
 			}
+			// The cell runs the machine config core gives its model.
+			model, err := core.ParseModel(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := model.MachineConfig(machine.DefaultConfig()); !reflect.DeepEqual(sj.cfg, want) {
+				t.Errorf("cell %s/%s runs config %+v, core's model is %+v", b, m, sj.cfg, want)
+			}
 			if route == nil {
 				p := cell.Plan
 				route = &p
@@ -100,6 +76,29 @@ func TestPlanSweepGrid(t *testing.T) {
 				t.Errorf("cell %s/%s route workload = %q", b, m, cell.Plan.Route.Workload)
 			}
 		}
+	}
+}
+
+// TestPlanSweepDropsRepeatedModels: a model named twice plans one cell
+// per benchmark, models keep their first-seen order in the cells, the
+// echo and the key, and the caller's slice is left as it was.
+func TestPlanSweepDropsRepeatedModels(t *testing.T) {
+	models := []string{"wo", "queue", "wo"}
+	plan, err := PlanSweep(api.SweepRequest{Scale: 0.01, Seed: 3, Only: []string{"Qsort"}, Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Request.Models; len(got) != 2 || got[0] != "wo" || got[1] != "queue" {
+		t.Errorf("echoed models = %q, want [wo queue]", got)
+	}
+	if want := "sweep|0.01|3|wo,queue|Qsort"; plan.Key != want {
+		t.Errorf("plan key %q, want %q", plan.Key, want)
+	}
+	if len(plan.Cells) != 2 || plan.Cells[0].Model != "wo" || plan.Cells[1].Model != "queue" {
+		t.Errorf("cells = %+v, want Qsort/wo then Qsort/queue", plan.Cells)
+	}
+	if models[0] != "wo" || models[1] != "queue" || models[2] != "wo" {
+		t.Errorf("PlanSweep rewrote the caller's models: %q", models)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"syncsim/internal/api"
+	"syncsim/internal/core"
 )
 
 // defaultPredictMaxError is the auto mode's relative-error tolerance when
@@ -37,26 +38,15 @@ func normalizePredict(req api.PredictRequest) (predictJob, error) {
 		req.MaxError = defaultPredictMaxError
 	}
 
-	var lock, cons string
-	switch req.Model {
-	case "", "queue":
-		req.Model = "queue"
-		lock, cons = "queue", "sc"
-	case "tts":
-		lock, cons = "tts", "sc"
-	case "wo":
-		lock, cons = "queue", "wo"
-	default:
-		return predictJob{}, fmt.Errorf("unknown model %q (want queue, tts, wo)", req.Model)
+	if req.Model == "" {
+		req.Model = core.ModelQueue.String()
+	}
+	m, err := core.ParseModel(req.Model)
+	if err != nil {
+		return predictJob{}, err
 	}
 
-	sim, err := normalizeSim(api.SimRequest{
-		Bench: req.Bench,
-		Scale: req.Scale,
-		Seed:  req.Seed,
-		Lock:  lock,
-		Cons:  cons,
-	})
+	sim, err := normalizeSim(modelSim(m, req.Bench, req.Scale, req.Seed))
 	if err != nil {
 		return predictJob{}, err
 	}

@@ -39,11 +39,9 @@ import (
 
 	"syncsim/internal/api"
 	"syncsim/internal/chaos"
-	"syncsim/internal/core"
 	"syncsim/internal/engine"
 	"syncsim/internal/fleet/store"
 	"syncsim/internal/flight"
-	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/predict"
 	"syncsim/internal/replay"
@@ -599,8 +597,13 @@ func (s *Server) runSim(ctx context.Context, job simJob) (*api.SimPayload, error
 		return nil, err
 	}
 	s.recordSuite(rep)
-	tr := results[0]
-	return &api.SimPayload{Request: job.req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}, nil
+	return simPayload(job.req, results[0]), nil
+}
+
+// simPayload is the payload of the sim request req that the engine ran
+// as tr.
+func simPayload(req api.SimRequest, tr engine.TaskResult) *api.SimPayload {
+	return &api.SimPayload{Request: req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -651,14 +654,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	job, err := normalizeSweep(req)
+	plan, err := PlanSweep(req)
 	if err != nil {
 		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
 	}
 
-	payload, served, err := serve(s, r, job.key, s.store, func(ctx context.Context) (*api.SweepPayload, error) {
-		return s.runSweep(ctx, job)
+	payload, served, err := serve(s, r, plan.Key, s.store, func(ctx context.Context) (*api.SweepPayload, error) {
+		return s.runSweep(ctx, plan)
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -667,43 +670,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: served})
 }
 
-// runSweep executes one validated sweep job: the full benchmark × model
-// matrix through core, sharing the server's bounded trace cache so sweeps
-// and single simulations memoise the same traces.
-func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload, error) {
-	var suiteRep metrics.SuiteReport
-	outs, err := core.RunSuiteCtx(ctx, core.Options{
-		Scale:   job.req.Scale,
-		Seed:    job.req.Seed,
-		Models:  job.models,
-		Select:  job.sel,
-		Workers: s.cfg.Workers,
-		Metrics: true,
-		OnReport: func(r metrics.SuiteReport) {
-			suiteRep = r
-		},
-		Cache: s.traceCache,
-		Chaos: s.chaos,
-	})
+// runSweep executes a sweep plan's cells as one engine run, each cell the
+// task /v1/sim runs for the cell's request, and folds them with
+// MergeSweep as the fleet coordinator does. The payload keeps the engine's
+// suite report, whose wall time and worker count are this run's.
+func (s *Server) runSweep(ctx context.Context, plan SweepPlan) (*api.SweepPayload, error) {
+	tasks := make([]engine.Task, len(plan.Cells))
+	for i, cell := range plan.Cells {
+		t, err := TaskForRequest(cell.Plan.Request)
+		if err != nil {
+			return nil, err
+		}
+		tasks[i] = t
+	}
+	results, rep, err := s.execTasks(ctx, tasks)
 	if err != nil {
 		return nil, err
 	}
-	s.recordSuite(suiteRep)
-
-	p := &api.SweepPayload{Request: job.req, Report: suiteRep}
-	for _, o := range outs {
-		out := api.SweepOutcome{
-			Name:    o.Name,
-			Params:  o.Params,
-			Ideal:   o.Ideal,
-			Report:  o.Report,
-			Results: make(map[string]*machine.Result, len(o.Results)),
-		}
-		for m, res := range o.Results {
-			out.Results[m.String()] = res
-		}
-		p.Outcomes = append(p.Outcomes, out)
+	s.recordSuite(rep)
+	payloads := make([]*api.SimPayload, len(results))
+	for i, tr := range results {
+		payloads[i] = simPayload(plan.Cells[i].Plan.Request, tr)
 	}
+	p, err := MergeSweep(plan, payloads)
+	if err != nil {
+		return nil, err
+	}
+	p.Report = rep
 	return p, nil
 }
 

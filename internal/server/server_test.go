@@ -16,9 +16,11 @@ import (
 	"time"
 
 	"syncsim/internal/api"
+	"syncsim/internal/core"
 	"syncsim/internal/engine"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
+	"syncsim/internal/workload/suite"
 )
 
 // postSim POSTs a /v1/sim body and decodes the response. It reports
@@ -135,28 +137,35 @@ func TestEndToEndSimParallelSched(t *testing.T) {
 	}
 }
 
-// TestEndToEndSweep runs a one-benchmark, one-model sweep through the
-// service and checks the table-shaped response.
+// TestEndToEndSweep runs sweeps through the service: a one-benchmark,
+// one-model sweep has the table-shaped response, and a two-by-two sweep
+// equals the library's own suite run (core.RunSuiteCtx, which builds its
+// engine tasks independently) outcome by outcome.
 func TestEndToEndSweep(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"scale":0.01,"only":["Qsort"],"models":["queue"]}`))
-	if err != nil {
-		t.Fatal(err)
+	post := func(body string) api.SweepResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+		}
+		var out api.SweepResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-	}
-	var out api.SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+
+	out := post(`{"scale":0.01,"only":["Qsort"],"models":["queue"]}`)
 	if len(out.Outcomes) != 1 || out.Outcomes[0].Name != "Qsort" {
 		t.Fatalf("outcomes = %+v, want exactly Qsort", out.Outcomes)
 	}
@@ -166,6 +175,49 @@ func TestEndToEndSweep(t *testing.T) {
 	}
 	if out.Served != "run" {
 		t.Errorf("served = %q, want run", out.Served)
+	}
+
+	got := post(`{"scale":0.01,"seed":3,"only":["Qsort","Grav"],"models":["wo","queue"]}`)
+	sel, err := suite.NewSelection("Qsort", "Grav")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []core.Model{core.ModelWO, core.ModelQueue}
+	want, err := core.RunSuiteCtx(context.Background(), core.Options{Scale: 0.01, Seed: 3, Models: models, Select: sel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Outcomes) != len(want) {
+		t.Fatalf("node has %d outcomes, library %d", len(got.Outcomes), len(want))
+	}
+	for i, w := range want {
+		g := got.Outcomes[i]
+		if g.Name != w.Name || g.Params != w.Params {
+			t.Errorf("outcome %d: node %s %+v, library %s %+v", i, g.Name, g.Params, w.Name, w.Params)
+		}
+		sameJSON(t, w.Name+" ideal", g.Ideal, w.Ideal)
+		if len(g.Results) != len(models) {
+			t.Errorf("%s: node has %d results, want %d", w.Name, len(g.Results), len(models))
+		}
+		for _, m := range models {
+			sameJSON(t, w.Name+"/"+m.String(), g.Results[m.String()], w.Results[m])
+		}
+	}
+}
+
+// sameJSON fails the test unless node and lib encode to the same JSON.
+func sameJSON(t *testing.T, what string, node, lib any) {
+	t.Helper()
+	nj, err := json.Marshal(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, err := json.Marshal(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nj, lj) {
+		t.Errorf("%s: node and library differ\n node:    %s\n library: %s", what, nj, lj)
 	}
 }
 

@@ -33,8 +33,8 @@ var ErrStreamAborted = errors.New("trace: stream aborted by consumer")
 // or Len. A streamed trace cannot be rewound or cloned, so the machine
 // detects the missing Marker and its calendar steps every processor
 // serially, without speculative leases (pinned by
-// TestParallelStreamingFallback), and engine.TraceCache refuses to cache it
-// (CacheStats.Bypassed).
+// TestParallelStreamingFallback). Streamed runs never go through the
+// engine or its trace cache.
 type RingSet struct {
 	name   string
 	budget int
