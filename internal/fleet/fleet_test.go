@@ -535,8 +535,8 @@ func TestMergeSweepEdgePaths(t *testing.T) {
 
 // TestFleetSweepRepeatedModels: a sweep that names one model twice plans
 // one cell per benchmark on the coordinator, as on a node, so both answer
-// it with 200 and agree byte for byte after canonicalisation. While the
-// coordinator planned a cell per repetition, its merge failed the sweep
+// it with 200 and agree byte for byte after canonicalisation. A
+// coordinator that planned a cell per repetition would fail its merge
 // with a 502 ("duplicate cell Qsort/queue").
 func TestFleetSweepRepeatedModels(t *testing.T) {
 	b := startBackend(t, server.Config{Workers: 2}, nil)
