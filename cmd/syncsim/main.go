@@ -12,12 +12,14 @@
 //	syncsim -arch      # print the modelled architecture (the paper's Figure 1)
 //
 // With -stream the trace is not materialised: generation runs concurrently
-// with simulation through a bounded ring, so memory stays O(ring budget)
-// instead of O(trace). Streaming skips the ideal-trace analysis (the events
-// are consumed as they are produced and cannot be rewound), and the
-// calendar then steps every processor serially, with no speculative
-// run-ahead. -membudget N makes the run fail if peak sampled heap use ever
-// exceeds N MiB — CI uses it to pin the bounded-memory property.
+// with simulation through a bounded ring that queues the events in the
+// resident compact format, so memory stays O(ring budget + cross-CPU
+// emission skew) instead of O(trace). Streaming skips the ideal-trace
+// analysis (the events are consumed as they are produced and cannot be
+// rewound), and the calendar then steps every processor serially, with no
+// speculative run-ahead. -membudget N makes the run fail if peak sampled
+// heap use ever exceeds N MiB — CI uses it to pin the bounded-memory
+// property.
 //
 // Interrupting a run (Ctrl-C) cancels the simulation promptly.
 package main
@@ -147,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
 	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis and speculative leases)")
-	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
+	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream, checked per 256-event chunk (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (post-run) to this file")

@@ -65,20 +65,14 @@ type FleetStatusResponse struct {
 	Throttled uint64 `json:"throttled"`
 }
 
-// FleetJoinRequest is the body of POST /v1/fleet/join: adds a backend to
-// the live ring (epoch +1). Joining a current member is an idempotent
-// no-op.
+// FleetJoinRequest is the body of POST /v1/fleet/join and of POST
+// /v1/fleet/leave. Join adds a backend to the live ring (epoch +1);
+// joining a current member is an idempotent no-op. Leave removes one
+// (epoch +1), draining first: the call returns after the member's
+// in-flight cells finish (or the drain timeout expires; cells still route
+// around the corpse either way).
 type FleetJoinRequest struct {
-	// Backend is the syncsimd base URL to add.
-	Backend string `json:"backend"`
-}
-
-// FleetLeaveRequest is the body of POST /v1/fleet/leave: removes a
-// backend from the live ring (epoch +1), draining first — the call
-// returns after the member's in-flight cells finish (or the drain
-// timeout expires; cells still route around the corpse either way).
-type FleetLeaveRequest struct {
-	// Backend is the member URL to remove.
+	// Backend is the syncsimd base URL to add or remove.
 	Backend string `json:"backend"`
 }
 

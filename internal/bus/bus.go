@@ -141,9 +141,6 @@ func New(nreq int, timing Timing) *Bus {
 	return &Bus{timing: timing, nreq: nreq, holder: -1}
 }
 
-// Timing returns the bus timing parameters.
-func (b *Bus) Timing() Timing { return b.timing }
-
 // Notify registers a callback invoked on every Occupy with the cycle at
 // which the bus becomes free again. An event-driven simulation loop uses
 // it to schedule the completion wakeup instead of polling Free; nil

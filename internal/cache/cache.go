@@ -184,9 +184,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Notify registers a callback observing residency changes: fn(line, true)
 // when a line is installed, fn(line, false) when a valid line leaves (LRU
 // eviction, remote invalidation, or Flush). The machine uses it to keep a

@@ -174,7 +174,7 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request, o
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	// Join and leave share one body shape; decode into the join form.
+	// Join and leave share one body shape.
 	var req api.FleetJoinRequest
 	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return

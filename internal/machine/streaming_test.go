@@ -31,7 +31,7 @@ func TestParallelStreamingFallback(t *testing.T) {
 			live := false
 			for cpu := 0; cpu < ncpu; cpu++ {
 				if i < len(cpus[cpu]) {
-					ring.Add(cpu, cpus[cpu][i])
+					addEvent(ring, cpu, cpus[cpu][i])
 					live = true
 				}
 			}
@@ -61,4 +61,11 @@ func TestParallelStreamingFallback(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming fallback result differs from serial run:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// addEvent queues ev on cpu as a one-record chunk.
+func addEvent(r *trace.RingSet, cpu int, ev trace.Event) {
+	var c trace.Compact
+	c.Add(ev)
+	r.AddChunk(cpu, &c)
 }

@@ -1,22 +1,9 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 )
-
-// Finite returns x, or 0 when x is NaN or ±Inf. It is the JSON guard for
-// report boundaries: Mean and Quantile deliberately return NaN on empty
-// input (so numeric code can detect "no sample"), but encoding/json fails
-// outright on non-finite values, and one NaN field would poison an entire
-// marshalled report or server response.
-func Finite(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	return x
-}
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -54,50 +41,4 @@ func Quantile(xs []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
-// Summary condenses a sample into the location statistics the reports print.
-type Summary struct {
-	N           int
-	Min, Max    float64
-	Mean        float64
-	Median, P95 float64
-}
-
-// MarshalJSON encodes the summary with every non-finite field zeroed, so a
-// summary assembled from empty or degenerate samples (NaN mean, ±Inf
-// ratios) still produces valid JSON instead of failing the whole document.
-// Consumers distinguish "empty sample" by N == 0, not by the float fields.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	type wire Summary // identical layout, no MarshalJSON — avoids recursion
-	w := wire{
-		N:      s.N,
-		Min:    Finite(s.Min),
-		Max:    Finite(s.Max),
-		Mean:   Finite(s.Mean),
-		Median: Finite(s.Median),
-		P95:    Finite(s.P95),
-	}
-	return json.Marshal(w)
-}
-
-// Summarize computes a Summary of xs. The zero Summary is returned for an
-// empty sample (its float fields are meaningless in that case; check N).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{
-		N:      len(xs),
-		Min:    xs[0],
-		Max:    xs[0],
-		Mean:   Mean(xs),
-		Median: Quantile(xs, 0.5),
-		P95:    Quantile(xs, 0.95),
-	}
-	for _, x := range xs {
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	return s
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 )
@@ -74,76 +73,5 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input reordered: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Errorf("empty summary N = %d", s.N)
-	}
-	s := Summarize([]float64{4, 1, 3, 2})
-	want := Summary{N: 4, Min: 1, Max: 4, Mean: 2.5, Median: 2.5, P95: 3.85}
-	if math.Abs(s.P95-want.P95) > 1e-12 {
-		t.Errorf("P95 = %v, want %v", s.P95, want.P95)
-	}
-	s.P95 = want.P95
-	if s != want {
-		t.Errorf("Summarize = %+v, want %+v", s, want)
-	}
-}
-
-func TestFinite(t *testing.T) {
-	for _, tc := range []struct{ in, want float64 }{
-		{1.5, 1.5},
-		{0, 0},
-		{-2, -2},
-		{math.NaN(), 0},
-		{math.Inf(1), 0},
-		{math.Inf(-1), 0},
-	} {
-		if got := Finite(tc.in); got != tc.want {
-			t.Errorf("Finite(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestSummaryJSONFiniteGuard: encoding/json errors out on NaN/Inf, so a
-// summary of an empty sample — or one hand-assembled from NaN-returning
-// Mean/Quantile calls — must still marshal, with non-finite fields zeroed.
-func TestSummaryJSONFiniteGuard(t *testing.T) {
-	empty := Summarize(nil)
-	if _, err := json.Marshal(empty); err != nil {
-		t.Fatalf("marshal of empty summary failed: %v", err)
-	}
-
-	poisoned := Summary{
-		N:      0,
-		Min:    math.NaN(),
-		Max:    math.Inf(1),
-		Mean:   Mean(nil),          // NaN by contract
-		Median: Quantile(nil, 0.5), // NaN by contract
-		P95:    math.Inf(-1),
-	}
-	data, err := json.Marshal(poisoned)
-	if err != nil {
-		t.Fatalf("marshal of NaN-poisoned summary failed: %v", err)
-	}
-	var got map[string]float64
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	for name, v := range got {
-		if v != 0 {
-			t.Errorf("field %s = %v, want 0 (non-finite zeroed)", name, v)
-		}
-	}
-
-	// A nested summary must not poison its enclosing document either.
-	doc := struct {
-		Label   string
-		Summary Summary
-	}{"empty-set", poisoned}
-	if _, err := json.Marshal(doc); err != nil {
-		t.Fatalf("marshal of enclosing report failed: %v", err)
 	}
 }

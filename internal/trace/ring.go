@@ -7,27 +7,33 @@ import (
 )
 
 // ErrStreamAborted is the sentinel a RingSet's producer sees (as a panic
-// from Add/AddChunk, recovered by the streaming driver) after the consumer
-// side called Abort. It marks "the consumer went away", not a defect.
+// from AddChunk, recovered by the streaming driver) after the consumer side
+// called Abort. It marks "the consumer went away", not a defect.
 var ErrStreamAborted = errors.New("trace: stream aborted by consumer")
 
-// RingSet is a bounded multi-producer-free, single-producer/multi-consumer
-// ring connecting a workload generator (one goroutine emitting events for
-// every CPU) to the machine simulator (one goroutine consuming per-CPU
-// sources lazily). It is the streaming alternative to materialising a
-// whole trace: memory stays O(budget) instead of O(trace).
+// RingSet is a bounded single-producer/multi-consumer ring connecting a
+// workload generator (one goroutine emitting events for every CPU) to the
+// machine simulator (one goroutine consuming per-CPU sources lazily). It
+// is the streaming alternative to materialising a whole trace: memory
+// stays O(budget) instead of O(trace).
+//
+// The producer queues events in the resident trace format: each chunk is
+// a Compact of one CPU's consecutive events, handed over whole. The budget
+// counts events, not chunks.
 //
 // Backpressure: once the total number of buffered events reaches the
-// budget, Add blocks the producer — unless a consumer is currently starved
-// (blocked on an empty per-CPU queue). The override is what makes the
-// pipeline deadlock-free: the producer emits events in virtual-time order
-// while the machine consumes them in simulated-time order, and the two
-// orders can diverge (a CPU stalled at a barrier stops consuming while
+// budget, AddChunk blocks the producer — unless a consumer is currently
+// starved (blocked on an empty per-CPU queue). The override is what makes
+// the pipeline deadlock-free: the producer emits events in virtual-time
+// order while the machine consumes them in simulated-time order, and the
+// two orders can diverge (a CPU stalled at a barrier stops consuming while
 // others race ahead). If the producer parked on a full queue while the
 // machine waited for a different CPU's next event, both would sleep
 // forever. With the override the producer spills past the budget exactly
 // until the starved consumer is fed, so the real bound is
-// O(budget + cross-CPU skew); MaxBuffered reports the observed peak.
+// O(budget + cross-CPU skew); MaxBuffered reports the observed peak. The
+// budget is checked once per chunk, so a chunk may pass it by up to its
+// own length.
 //
 // The per-CPU sources implement ONLY Source — no Marker, Rewinder, Cloner
 // or Len. A streamed trace cannot be rewound or cloned, so the machine
@@ -51,11 +57,9 @@ type RingSet struct {
 	queues []ringQueue
 }
 
-// ringQueue is one CPU's FIFO: a slice with a head index, recycled when
-// drained so steady-state allocation is zero.
+// ringQueue is one CPU's FIFO of chunks.
 type ringQueue struct {
-	events  []Event
-	head    int
+	chunks  []*Compact
 	waiting bool      // a consumer is parked on this queue
 	cond    sync.Cond // that consumer waits here
 }
@@ -83,35 +87,22 @@ func NewRingSet(name string, ncpu, budget int) *RingSet {
 func (r *RingSet) Set() *Set {
 	set := &Set{Name: r.name, Sources: make([]Source, len(r.queues))}
 	for i := range r.queues {
-		set.Sources[i] = &ringSource{r: r, cpu: i}
+		set.Sources[i] = &ringSource{r: r, cpu: i, cur: CompactSource{c: &Compact{}}}
 	}
 	return set
 }
 
-// Add appends one event to cpu's queue, blocking while the ring is over
-// budget and no consumer is starved. It panics with ErrStreamAborted after
-// Abort; the streaming driver recovers that sentinel at the top of the
-// producer goroutine.
-func (r *RingSet) Add(cpu int, ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.addLocked(cpu, ev)
-}
-
-// AddChunk appends a batch in one lock acquisition; generators buffer a
-// few hundred events locally so per-event lock traffic disappears.
-func (r *RingSet) AddChunk(cpu int, evs []Event) {
-	if len(evs) == 0 {
+// AddChunk queues c, the next of cpu's events, and takes ownership of it:
+// the caller must not append to c afterwards. It blocks while the ring is
+// over budget and no consumer is starved, and panics with ErrStreamAborted
+// after Abort; the streaming driver recovers that sentinel at the top of
+// the producer goroutine.
+func (r *RingSet) AddChunk(cpu int, c *Compact) {
+	if c.Len() == 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, ev := range evs {
-		r.addLocked(cpu, ev)
-	}
-}
-
-func (r *RingSet) addLocked(cpu int, ev Event) {
 	for r.buffered >= r.budget && !r.starvedEmptyLocked() && !r.aborted {
 		r.prod.Wait()
 	}
@@ -119,11 +110,11 @@ func (r *RingSet) addLocked(cpu int, ev Event) {
 		panic(ErrStreamAborted)
 	}
 	if r.closed {
-		panic(fmt.Sprintf("trace: RingSet %q: Add after Close", r.name))
+		panic(fmt.Sprintf("trace: RingSet %q: AddChunk after Close", r.name))
 	}
 	q := &r.queues[cpu]
-	q.events = append(q.events, ev)
-	r.buffered++
+	q.chunks = append(q.chunks, c)
+	r.buffered += c.Len()
 	if r.buffered > r.maxBuf {
 		r.maxBuf = r.buffered
 	}
@@ -144,7 +135,7 @@ func (r *RingSet) starvedEmptyLocked() bool {
 	}
 	for i := range r.queues {
 		q := &r.queues[i]
-		if q.waiting && q.head >= len(q.events) {
+		if q.waiting && len(q.chunks) == 0 {
 			return true
 		}
 	}
@@ -206,15 +197,14 @@ func (r *RingSet) MaxBuffered() int {
 // Budget returns the configured event budget.
 func (r *RingSet) Budget() int { return r.budget }
 
-// take hands the entire buffered queue of one CPU to its consumer in a
-// single lock acquisition (the consumer iterates it lock-free), blocking
+// take hands the oldest queued chunk of one CPU to its consumer, blocking
 // while the queue is empty and the stream is open. ok is false at
 // end-of-stream.
-func (r *RingSet) take(cpu int, reuse []Event) (evs []Event, ok bool) {
+func (r *RingSet) take(cpu int) (c *Compact, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	q := &r.queues[cpu]
-	for q.head >= len(q.events) && !r.closed && !r.aborted {
+	for len(q.chunks) == 0 && !r.closed && !r.aborted {
 		q.waiting = true
 		r.starved++
 		r.prod.Signal() // the producer may proceed past the budget now
@@ -222,50 +212,44 @@ func (r *RingSet) take(cpu int, reuse []Event) (evs []Event, ok bool) {
 		r.starved--
 		q.waiting = false
 	}
-	if q.head >= len(q.events) {
+	if len(q.chunks) == 0 {
 		return nil, false
 	}
-	evs = q.events[q.head:]
-	r.buffered -= len(evs)
-	// Recycle the consumer's drained slice as the queue's next backing
-	// array, so the two sides ping-pong between two allocations.
-	q.events = reuse[:0]
-	q.head = 0
+	c = q.chunks[0]
+	q.chunks[0] = nil
+	q.chunks = q.chunks[1:]
+	r.buffered -= c.Len()
 	if r.buffered < r.budget {
 		r.prod.Signal()
 	}
-	return evs, true
+	return c, true
 }
 
-// ringSource adapts one CPU's queue to the Source interface. It must NOT
-// implement Marker/Rewinder/Cloner/Len: streamed events are gone once
-// consumed (asserted by TestSourceCapabilityMatrix).
+// ringSource adapts one CPU's queue to the Source interface, replaying
+// each chunk through a CompactSource. It must NOT implement
+// Marker/Rewinder/Cloner/Len: streamed events are gone once consumed
+// (asserted by TestSourceCapabilityMatrix).
 type ringSource struct {
-	r       *RingSet
-	cpu     int
-	pending []Event
-	pos     int
-	done    bool
+	r    *RingSet
+	cpu  int
+	cur  CompactSource // replays the chunk taken last
+	done bool
 }
 
 // Next implements Source.
 func (s *ringSource) Next() (Event, bool) {
-	if s.pos < len(s.pending) {
-		ev := s.pending[s.pos]
-		s.pos++
-		return ev, true
+	for {
+		if ev, ok := s.cur.Next(); ok {
+			return ev, true
+		}
+		if s.done {
+			return Event{}, false
+		}
+		c, ok := s.r.take(s.cpu)
+		if !ok {
+			s.done = true
+			return Event{}, false
+		}
+		s.cur = CompactSource{c: c}
 	}
-	if s.done {
-		return Event{}, false
-	}
-	evs, ok := s.r.take(s.cpu, s.pending)
-	if !ok {
-		s.done = true
-		s.pending = nil
-		s.pos = 0
-		return Event{}, false
-	}
-	s.pending = evs
-	s.pos = 1
-	return evs[0], true
 }

@@ -2,10 +2,16 @@ package trace
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 )
+
+// addEvent queues ev on cpu as a one-record chunk.
+func addEvent(r *RingSet, cpu int, ev Event) {
+	r.AddChunk(cpu, compactOf([]Event{ev}))
+}
 
 func TestRingSetStreamsInOrder(t *testing.T) {
 	const ncpu, perCPU = 3, 500
@@ -43,7 +49,7 @@ func TestRingSetStreamsInOrder(t *testing.T) {
 	// would, against the 64-event budget.
 	for i := 0; i < perCPU; i++ {
 		for cpu := 0; cpu < ncpu; cpu++ {
-			r.Add(cpu, want[cpu][i])
+			addEvent(r, cpu, want[cpu][i])
 		}
 	}
 	r.Close(nil)
@@ -81,12 +87,12 @@ func TestRingSetStarvationOverride(t *testing.T) {
 	}()
 
 	// Fill the budget entirely with CPU 0 events, then emit the CPU 1
-	// event the consumer is starving for. Without the override this Add
-	// blocks forever and the test times out.
+	// event the consumer is starving for. Without the override this
+	// AddChunk blocks forever and the test times out.
 	for i := 0; i < 4; i++ {
-		r.Add(0, Exec(uint32(i+1)))
+		addEvent(r, 0, Exec(uint32(i+1)))
 	}
-	r.Add(1, Exec(99))
+	addEvent(r, 1, Exec(99))
 	if ev := <-fed; ev != Exec(99) {
 		t.Fatalf("starved consumer got %v, want Exec(99)", ev)
 	}
@@ -97,7 +103,7 @@ func TestRingSetCloseWithError(t *testing.T) {
 	sentinel := errors.New("generator failed")
 	r := NewRingSet("prog", 1, 8)
 	src := r.Set().Sources[0]
-	r.Add(0, Exec(1))
+	addEvent(r, 0, Exec(1))
 	r.Close(sentinel)
 
 	// Buffered events still drain, then the stream ends.
@@ -117,7 +123,7 @@ func TestRingSetAbortPoisonsProducer(t *testing.T) {
 	go func() {
 		defer func() { blocked <- recover() }()
 		for i := 0; ; i++ {
-			r.Add(0, Exec(uint32(i+1))) // blocks at the budget, then panics on Abort
+			addEvent(r, 0, Exec(uint32(i+1))) // blocks at the budget, then panics on Abort
 		}
 	}()
 
@@ -137,5 +143,122 @@ func TestRingSetAbortPoisonsProducer(t *testing.T) {
 	}
 	if !errors.Is(r.Err(), ErrStreamAborted) {
 		t.Fatalf("Err = %v, want ErrStreamAborted", r.Err())
+	}
+}
+
+// Multi-record chunks: every CPU's stream, whose addresses need both delta
+// predictors, is cut into Compacts of 1-maxChunk events and replayed
+// through the ring. Three producer/consumer pairings:
+//
+//   - round-robin producer, interleaved consumer: the coordinator's usual
+//     order against the machine's;
+//   - one CPU's whole stream before the next (how Topopt generates),
+//     consumed in that same order;
+//   - one CPU at a time, interleaved consumer: every consumer but the
+//     first starves until the producer reaches its CPU.
+//
+// The replay must equal the input every time. In the first two pairings a
+// consumer only waits on an empty queue while fewer than budget events are
+// queued, so the producer never spills and passes the budget by at most
+// one chunk. In the third, consumers starve with the ring full, and the
+// producer must spill past the budget or the pipeline would deadlock.
+func TestRingSetCompactChunks(t *testing.T) {
+	const ncpu, perCPU, budget, maxChunk = 4, 3000, 512, 64
+	rng := rand.New(rand.NewSource(11))
+	want := make([][]Event, ncpu)
+	for cpu := range want {
+		want[cpu] = compactEvents(rng, perCPU)
+	}
+	// One set of chunk bounds for every CPU, as the generators' fixed-size
+	// chunks.
+	bounds := []int{0}
+	for bounds[len(bounds)-1] < perCPU {
+		bounds = append(bounds, min(bounds[len(bounds)-1]+1+rng.Intn(maxChunk), perCPU))
+	}
+	nchunks := len(bounds) - 1
+	chunk := func(cpu, i int) *Compact { return compactOf(want[cpu][bounds[i]:bounds[i+1]]) }
+	roundRobin := func(r *RingSet) {
+		for i := range nchunks {
+			for cpu := range ncpu {
+				r.AddChunk(cpu, chunk(cpu, i))
+			}
+		}
+	}
+	oneCPUAtATime := func(r *RingSet) {
+		for cpu := range ncpu {
+			for i := range nchunks {
+				r.AddChunk(cpu, chunk(cpu, i))
+			}
+		}
+	}
+	interleaved := func(set *Set) [][]Event {
+		got := make([][]Event, ncpu)
+		for live := ncpu; live > 0; {
+			live = 0
+			for cpu, src := range set.Sources {
+				if ev, ok := src.Next(); ok {
+					got[cpu] = append(got[cpu], ev)
+					live++
+				}
+			}
+		}
+		return got
+	}
+	inOrder := func(set *Set) [][]Event {
+		got := make([][]Event, ncpu)
+		for cpu, src := range set.Sources {
+			for len(got[cpu]) < len(want[cpu]) {
+				ev, ok := src.Next()
+				if !ok {
+					break
+				}
+				got[cpu] = append(got[cpu], ev)
+			}
+		}
+		for cpu, src := range set.Sources {
+			got[cpu] = append(got[cpu], Drain(src)...)
+		}
+		return got
+	}
+
+	cases := []struct {
+		name     string
+		produce  func(*RingSet)
+		consume  func(*Set) [][]Event
+		starving bool
+	}{
+		{"round-robin-to-interleaved", roundRobin, interleaved, false},
+		{"one-cpu-at-a-time-to-in-order", oneCPUAtATime, inOrder, false},
+		{"one-cpu-at-a-time-to-interleaved", oneCPUAtATime, interleaved, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRingSet("prog", ncpu, budget)
+			set := r.Set()
+			var got [][]Event
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got = tc.consume(set)
+			}()
+			tc.produce(r)
+			r.Close(nil)
+			<-done
+
+			for cpu := range want {
+				if !reflect.DeepEqual(got[cpu], want[cpu]) {
+					t.Fatalf("cpu %d: replayed %d events, want %d (order or content differ)",
+						cpu, len(got[cpu]), len(want[cpu]))
+				}
+			}
+			peak := r.MaxBuffered()
+			if tc.starving && peak <= budget {
+				t.Fatalf("MaxBuffered = %d: a starved consumer needs the producer past the budget %d", peak, budget)
+			}
+			if !tc.starving && peak >= budget+maxChunk {
+				t.Fatalf("MaxBuffered = %d, want < budget %d + one chunk %d when no consumer starves on a full ring",
+					peak, budget, maxChunk)
+			}
+		})
 	}
 }

@@ -40,10 +40,6 @@ type Qsort struct {
 	// instead of pushing subsegments, calibrated to ~212 queue-lock
 	// pairs per processor on 12 CPUs.
 	Cutoff int
-	// SampleShift emits array references for one element visit in
-	// 1<<SampleShift; 0 traces every visit. The paper's traces were
-	// themselves partial runs.
-	SampleShift uint
 }
 
 // New returns the generator with calibrated defaults.

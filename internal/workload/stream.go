@@ -11,9 +11,10 @@ import (
 // enough that a scale-1 run stays in a few megabytes.
 const DefaultStreamBudget = 1 << 16
 
-// sinkChunk is how many events a ringSink batches locally before taking the
-// ring lock once; it bounds per-event synchronisation cost.
-const sinkChunk = 256
+// streamChunk is how many events a streaming generator records before it
+// hands its Compact to the ring as one chunk; it bounds per-event
+// synchronisation cost.
+const streamChunk = 256
 
 // streamPlan carries the ring from StreamTraces to the coordinator the
 // benchmark builds. It travels inside Params (unexported) so the six
@@ -21,64 +22,16 @@ const sinkChunk = 256
 // constructor differs.
 type streamPlan struct {
 	ring  *trace.RingSet
-	sinks []*ringSink
 	bound bool // a coordinator picked the plan up
 }
 
-// bind rewires every generator of c into the plan's ring.
+// bind points every generator of c at the plan's ring.
 func (pl *streamPlan) bind(c *Coordinator) {
 	pl.bound = true
-	pl.sinks = make([]*ringSink, len(c.Gens))
 	c.stream = pl
-	for i, g := range c.Gens {
-		s := &ringSink{ring: pl.ring, cpu: i}
-		pl.sinks[i] = s
-		g.out = s
+	for _, g := range c.Gens {
+		g.ring = pl.ring
 	}
-}
-
-// flush pushes every sink's partial chunk into the ring.
-func (pl *streamPlan) flush() {
-	for _, s := range pl.sinks {
-		s.flush()
-	}
-}
-
-// ringSink adapts one generator to the ring: events accumulate in a local
-// chunk and flush in one lock acquisition, so the generator's hot loop
-// never contends per event.
-type ringSink struct {
-	ring    *trace.RingSet
-	cpu     int
-	chunk   []Event
-	emitted int
-}
-
-// Event aliases trace.Event so the chunk declaration reads naturally.
-type Event = trace.Event
-
-// Add implements sink.
-func (s *ringSink) Add(ev trace.Event) {
-	if s.chunk == nil {
-		s.chunk = make([]Event, 0, sinkChunk)
-	}
-	s.chunk = append(s.chunk, ev)
-	s.emitted++
-	if len(s.chunk) >= sinkChunk {
-		s.flush()
-	}
-}
-
-// Len implements sink: the number of events emitted so far (buffered or
-// already in the ring).
-func (s *ringSink) Len() int { return s.emitted }
-
-func (s *ringSink) flush() {
-	if len(s.chunk) == 0 {
-		return
-	}
-	s.ring.AddChunk(s.cpu, s.chunk)
-	s.chunk = s.chunk[:0]
 }
 
 // StreamHandle is the producer side of a streaming run. The consumer runs
@@ -111,10 +64,12 @@ func (h *StreamHandle) Abort() {
 func (h *StreamHandle) MaxBuffered() int { return h.ring.MaxBuffered() }
 
 // StreamTraces generates prog's trace through a bounded ring instead of
-// materialising it: the generator runs in its own goroutine and blocks when
-// it is more than budget events (0 = DefaultStreamBudget) ahead of the
-// consumer, so a scale-1 run executes in O(budget) memory instead of
-// O(trace). The event sequences are bit-identical to Generate's.
+// materialising it: the generator runs in its own goroutine, hands its
+// Compact records to the ring in chunks of streamChunk events, and blocks
+// once budget events (0 = DefaultStreamBudget) are queued — passing the
+// budget by up to one chunk, and further only while a consumer is starved
+// (see trace.RingSet). A scale-1 run so executes in O(budget + skew) memory
+// instead of O(trace). The event sequences are bit-identical to Generate's.
 //
 // The returned set's sources implement only trace.Source — no replay, no
 // cloning, no parallel scheduling, no caching. Run the machine over the set

@@ -33,9 +33,10 @@ type Params struct {
 	// Seed makes generation deterministic. The default 0 is a valid seed.
 	Seed int64
 
-	// stream, when non-nil, redirects generation into a bounded streaming
-	// ring instead of materialised Compact traces. Only StreamTraces sets
-	// it; it is invisible to the wire (unexported) and to cache keys.
+	// stream, when non-nil, hands the generators' Compact records to a
+	// bounded streaming ring in chunks instead of keeping the whole trace.
+	// Only StreamTraces sets it; it is invisible to the wire (unexported)
+	// and to cache keys.
 	stream *streamPlan
 }
 
@@ -83,21 +84,15 @@ type Gen struct {
 	// use it to interleave work across processors.
 	VT uint64
 
-	tr      trace.Compact
-	out     sink // &tr by default; a ring sink when streaming
+	tr      trace.Compact  // the events recorded and not yet handed to ring
+	ring    *trace.RingSet // non-nil when streaming: tr goes out in chunks
+	handed  int            // events already handed to ring
 	rng     *rand.Rand
 	pc      uint32
 	fn      uint32
 	held    int // locks currently held (for nesting sanity)
 	cpiMin  uint32
 	cpiSpan uint32
-}
-
-// sink receives a generator's event stream: the materialising Compact, or
-// a bounded ring writer when the run streams.
-type sink interface {
-	Add(trace.Event)
-	Len() int
 }
 
 // NewGen creates a generator for one processor.
@@ -108,7 +103,6 @@ func NewGen(cpu int, seed int64) *Gen {
 		cpiMin:  2,
 		cpiSpan: 2,
 	}
-	g.out = &g.tr
 	g.SetFunc(0)
 	return g
 }
@@ -152,29 +146,33 @@ func (g *Gen) nextPC() uint32 {
 func (g *Gen) Instr(n int) {
 	for i := 0; i < n; i++ {
 		cyc := g.instrCycles()
-		g.out.Add(trace.IFetchAfter(cyc, g.nextPC()))
+		g.tr.Add(trace.IFetchAfter(cyc, g.nextPC()))
 		g.VT += uint64(cyc)
+		g.handOff()
 	}
 }
 
 // Load emits one data-load instruction referencing a.
 func (g *Gen) Load(a uint32) {
 	cyc := g.instrCycles()
-	g.out.Add(trace.ReadAfter(cyc, a))
+	g.tr.Add(trace.ReadAfter(cyc, a))
 	g.VT += uint64(cyc)
+	g.handOff()
 }
 
 // Store emits one data-store instruction referencing a.
 func (g *Gen) Store(a uint32) {
 	cyc := g.instrCycles()
-	g.out.Add(trace.WriteAfter(cyc, a))
+	g.tr.Add(trace.WriteAfter(cyc, a))
 	g.VT += uint64(cyc)
+	g.handOff()
 }
 
 // Lock emits a lock acquisition of lock id.
 func (g *Gen) Lock(id uint32) {
-	g.out.Add(trace.Lock(id, addr.Lock(id)))
+	g.tr.Add(trace.Lock(id, addr.Lock(id)))
 	g.held++
+	g.handOff()
 }
 
 // Unlock emits a lock release of lock id.
@@ -182,17 +180,31 @@ func (g *Gen) Unlock(id uint32) {
 	if g.held == 0 {
 		panic(fmt.Sprintf("workload: cpu %d unlock with no lock held", g.CPU))
 	}
-	g.out.Add(trace.Unlock(id, addr.Lock(id)))
+	g.tr.Add(trace.Unlock(id, addr.Lock(id)))
 	g.held--
+	g.handOff()
 }
 
-// Barrier emits a barrier join.
-func (g *Gen) Barrier(id uint32) {
-	g.out.Add(trace.Barrier(id))
+// handOff passes the recorded events to the ring once they fill a chunk.
+// It is small enough to inline, so a materialised run pays one nil test
+// per event and no call.
+func (g *Gen) handOff() {
+	if g.ring != nil && g.tr.Len() >= streamChunk {
+		g.flush()
+	}
+}
+
+// flush hands the recorded events to the ring as one chunk, which the ring
+// then owns, and starts a fresh Compact for the next one.
+func (g *Gen) flush() {
+	c := g.tr
+	g.tr = trace.Compact{}
+	g.handed += c.Len()
+	g.ring.AddChunk(g.CPU, &c)
 }
 
 // Events returns the number of events emitted so far.
-func (g *Gen) Events() int { return g.out.Len() }
+func (g *Gen) Events() int { return g.handed + g.tr.Len() }
 
 // Coordinator interleaves work across processors by virtual time: Next
 // returns the processor that is furthest behind, which is exactly the
@@ -214,8 +226,8 @@ func NewCoordinator(ncpu int, seed int64) *Coordinator {
 
 // NewCoordinatorFor builds the coordinator for a full parameter set. It is
 // what benchmarks should call: when p carries a stream plan (set by
-// StreamTraces) the generators write into the plan's bounded ring instead
-// of materialising, with identical event sequences either way.
+// StreamTraces) the generators hand their records to the plan's bounded
+// ring instead of keeping them, with identical event sequences either way.
 func NewCoordinatorFor(p Params) *Coordinator {
 	c := NewCoordinator(p.NCPU, p.Seed)
 	if p.stream != nil {
@@ -256,7 +268,7 @@ func (c *Coordinator) MaxVT() uint64 {
 //
 // For a streaming coordinator the events already went into the ring; the
 // returned set is the ring's consumer side, and the final partial chunks
-// are flushed here. The driver — not the benchmark — closes the ring.
+// are handed over here. The driver — not the benchmark — closes the ring.
 func (c *Coordinator) Set(name string) (*trace.Set, error) {
 	for i, g := range c.Gens {
 		if g.held != 0 {
@@ -264,7 +276,9 @@ func (c *Coordinator) Set(name string) (*trace.Set, error) {
 		}
 	}
 	if c.stream != nil {
-		c.stream.flush()
+		for _, g := range c.Gens {
+			g.flush()
+		}
 		return c.stream.ring.Set(), nil
 	}
 	cpus := make([]*trace.Compact, len(c.Gens))
