@@ -22,6 +22,7 @@ import (
 	"syncsim/internal/core"
 	"syncsim/internal/metrics"
 	"syncsim/internal/tables"
+	"syncsim/internal/workload/suite"
 )
 
 func main() {
@@ -37,7 +38,12 @@ func main() {
 
 	opts := core.Options{Scale: *scale, Seed: *seed, Workers: *workers}
 	if *only != "" {
-		opts.Only = strings.Split(*only, ",")
+		sel, err := suite.NewSelection(strings.Split(*only, ",")...)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tables:", err)
+			os.Exit(1)
+		}
+		opts.Select = sel
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {

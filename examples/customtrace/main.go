@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -51,7 +52,7 @@ func main() {
 		cfg := syncsim.DefaultMachineConfig()
 		cfg.Lock = alg
 		set := syncsim.BufferTraceSet("hammer", cpus)
-		res, err := syncsim.Simulate(set, cfg)
+		res, err := syncsim.SimulateCtx(context.Background(), set, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,6 @@
-// Command engine demonstrates the context-aware API: functional options,
+// Command engine demonstrates the library's API: functional options,
 // cancellation, and the run-metrics reports from the concurrent
-// experiment engine. Compare examples/quickstart, which uses the older
-// struct-based entry points.
+// experiment engine.
 package main
 
 import (
@@ -29,7 +28,6 @@ func main() {
 		syncsim.WithOnly("Grav", "Qsort"),
 		syncsim.WithModels(syncsim.ModelQueue, syncsim.ModelTTS),
 		syncsim.WithWorkers(2),
-		syncsim.WithMetrics(),
 		syncsim.WithReport(func(r syncsim.SuiteReport) {
 			fmt.Printf("\n%s\n", r)
 		}),
@@ -46,8 +44,6 @@ func main() {
 			fmt.Printf("  %-8v run-time %9d cycles, utilization %5.1f%%\n",
 				m, res.RunTime, 100*res.AvgUtilization())
 		}
-		if out.Report != nil {
-			fmt.Printf("  metrics: %s\n", out.Report)
-		}
+		fmt.Printf("  metrics: %s\n", out.Report)
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := syncsim.Simulate(set, syncsim.DefaultMachineConfig())
+		res, err := syncsim.SimulateCtx(context.Background(), set, syncsim.DefaultMachineConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,11 +24,11 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-9s %12s %12s %8s %10s\n", "program", "SC cycles", "WO cycles", "diff %", "write-hit%")
 	for _, bench := range syncsim.Benchmarks() {
-		out, err := syncsim.RunBenchmark(bench, syncsim.Options{
-			Scale:  *scale,
-			Seed:   1,
-			Models: []syncsim.Model{syncsim.ModelQueue, syncsim.ModelWO},
-		})
+		out, err := syncsim.RunBenchmarkCtx(context.Background(), bench,
+			syncsim.WithScale(*scale),
+			syncsim.WithSeed(1),
+			syncsim.WithModels(syncsim.ModelQueue, syncsim.ModelWO),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func runSuite(t *testing.T, opts core.Options) map[string]*core.Outcome {
 // TestMetamorphicDeterminism: the engine's worker count must not leak into
 // results, and the same seed must reproduce every metric exactly.
 func TestMetamorphicDeterminism(t *testing.T) {
-	opts := core.Options{Scale: GoldenScale, Seed: GoldenSeed, Only: []string{"Grav", "Qsort"}}
+	opts := core.NewOptions(core.WithScale(GoldenScale), core.WithSeed(GoldenSeed), core.WithOnly("Grav", "Qsort"))
 	opts.Workers = 1
 	serial := runSuite(t, opts)
 	opts.Workers = 8
@@ -51,7 +51,7 @@ func TestMetamorphicDeterminism(t *testing.T) {
 // queuing locks must never run slower than test&test&set (§3.2 — T&T&S adds
 // invalidation traffic and wasted spin acquisitions at every release).
 func TestMetamorphicQueueBeatsTTS(t *testing.T) {
-	outs := runSuite(t, core.Options{Scale: GoldenScale, Seed: GoldenSeed, Only: []string{"Grav", "Pdsa"}})
+	outs := runSuite(t, core.NewOptions(core.WithScale(GoldenScale), core.WithSeed(GoldenSeed), core.WithOnly("Grav", "Pdsa")))
 	for name, o := range outs {
 		q, tts := o.Results[core.ModelQueue], o.Results[core.ModelTTS]
 		if q.RunTime > tts.RunTime {

@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"syncsim/internal/chaos"
 	"syncsim/internal/engine"
@@ -92,7 +93,7 @@ type Outcome struct {
 	Ideal   trace.Summary
 	Results map[Model]*machine.Result
 	// Report breaks down where the benchmark's wall time went, summed
-	// over its model runs. Nil unless Options.Metrics was set.
+	// over its model runs.
 	Report *metrics.RunReport
 }
 
@@ -122,22 +123,12 @@ type Options struct {
 	// Select restricts the run to a validated benchmark subset; the zero
 	// value selects all six.
 	Select suite.Selection
-	// Only restricts the run to the named benchmarks; nil means all six.
-	// Names are validated when the run starts and an unknown one fails
-	// with suite.ErrUnknownBenchmark.
-	//
-	// Deprecated: build a suite.Selection (WithOnly does) instead; it
-	// validates names eagerly.
-	Only []string
 	// Progress, when non-nil, receives one line per step for long runs.
 	// Calls are serialised by the engine, so the callback needs no
 	// locking of its own.
 	Progress func(format string, args ...any)
-	// Metrics enables per-benchmark RunReports on each Outcome.
-	Metrics bool
 	// OnReport, when non-nil, receives the suite-level engine report
 	// (phase times, cache hit rate, worker occupancy) after the run.
-	// Setting it implies Metrics.
 	OnReport func(metrics.SuiteReport)
 	// Workers bounds how many simulations run concurrently; zero selects
 	// GOMAXPROCS.
@@ -150,6 +141,10 @@ type Options struct {
 	// Chaos, when non-nil, is the fault-injection plane handed to the
 	// engine (see internal/chaos). Nil is inert.
 	Chaos *chaos.Plane
+
+	// selectErr is WithOnly's validation error, reported when the run
+	// starts.
+	selectErr error
 }
 
 // Option mutates an Options value; see NewOptions.
@@ -171,18 +166,20 @@ func WithScale(scale float64) Option { return func(o *Options) { o.Scale = scale
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
 // WithModels selects the machine models to simulate. No models means
-// ideal statistics only.
+// ideal statistics only; a repeated model is simulated once.
 func WithModels(models ...Model) Option {
 	return func(o *Options) { o.Models = models }
 }
 
 // WithOnly restricts the run to the named benchmarks. Names are validated
 // when the run starts; unknown ones fail with suite.ErrUnknownBenchmark.
-func WithOnly(names ...string) Option { return func(o *Options) { o.Only = names } }
+func WithOnly(names ...string) Option {
+	return func(o *Options) { o.Select, o.selectErr = suite.NewSelection(names...) }
+}
 
 // WithSelection restricts the run to an already-validated selection.
 func WithSelection(sel suite.Selection) Option {
-	return func(o *Options) { o.Select = sel }
+	return func(o *Options) { o.Select, o.selectErr = sel, nil }
 }
 
 // WithMachine sets the base machine configuration models derive from.
@@ -195,16 +192,9 @@ func WithProgress(fn func(format string, args ...any)) Option {
 	return func(o *Options) { o.Progress = fn }
 }
 
-// WithMetrics enables per-benchmark RunReports on each Outcome.
-func WithMetrics() Option { return func(o *Options) { o.Metrics = true } }
-
-// WithReport delivers the suite-level engine report to fn after the run
-// (and implies WithMetrics).
+// WithReport delivers the suite-level engine report to fn after the run.
 func WithReport(fn func(metrics.SuiteReport)) Option {
-	return func(o *Options) {
-		o.Metrics = true
-		o.OnReport = fn
-	}
+	return func(o *Options) { o.OnReport = fn }
 }
 
 // WithWorkers bounds how many simulations run concurrently.
@@ -215,21 +205,19 @@ func WithCache(c *engine.TraceCache) Option {
 	return func(o *Options) { o.Cache = c }
 }
 
-// models returns the models to simulate; nil selects all three.
+// models returns the models to simulate in first-seen order, each once;
+// nil selects all three.
 func (o Options) models() []Model {
 	if o.Models == nil {
 		return Models()
 	}
-	return o.Models
-}
-
-// selection resolves the effective benchmark subset, validating any
-// deprecated Only names.
-func (o Options) selection() (suite.Selection, error) {
-	if !o.Select.All() {
-		return o.Select, nil
+	var models []Model
+	for _, m := range o.Models {
+		if !slices.Contains(models, m) {
+			models = append(models, m)
+		}
 	}
-	return suite.NewSelection(o.Only...)
+	return models
 }
 
 // RunBenchmarkCtx generates one benchmark and simulates it under the given
@@ -250,25 +238,10 @@ func RunBenchmarkCtx(ctx context.Context, b suite.Benchmark, opts Options) (*Out
 // model) matrix is scheduled concurrently over Options.Workers workers;
 // cancelling ctx aborts the run promptly and returns ctx.Err().
 func RunSuiteCtx(ctx context.Context, opts Options) ([]*Outcome, error) {
-	sel, err := opts.selection()
-	if err != nil {
-		return nil, err
+	if opts.selectErr != nil {
+		return nil, opts.selectErr
 	}
-	return runMatrix(ctx, sel.Benchmarks(), opts)
-}
-
-// RunBenchmark runs a single benchmark without cancellation.
-//
-// Deprecated: use RunBenchmarkCtx.
-func RunBenchmark(b suite.Benchmark, opts Options) (*Outcome, error) {
-	return RunBenchmarkCtx(context.Background(), b, opts)
-}
-
-// RunSuite runs the suite without cancellation.
-//
-// Deprecated: use RunSuiteCtx.
-func RunSuite(opts Options) ([]*Outcome, error) {
-	return RunSuiteCtx(context.Background(), opts)
+	return runMatrix(ctx, opts.Select.Benchmarks(), opts)
 }
 
 // runMatrix schedules the (benchmark × model) matrix on the engine and
@@ -276,9 +249,6 @@ func RunSuite(opts Options) ([]*Outcome, error) {
 func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]*Outcome, error) {
 	if opts.Scale == 0 {
 		opts.Scale = 1
-	}
-	if opts.OnReport != nil {
-		opts.Metrics = true
 	}
 	models := opts.models()
 	base := machine.DefaultConfig()
@@ -301,8 +271,7 @@ func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]
 			// Tables 1-2 need no machine: one ideal-only task per
 			// benchmark still generates and analyses the trace.
 			tasks = append(tasks, engine.Task{
-				Program: b.Program, Params: params, Label: "ideal",
-				IdealOnly: true, Metrics: opts.Metrics,
+				Program: b.Program, Params: params, Label: "ideal", IdealOnly: true,
 			})
 			metas = append(metas, taskMeta{bench: bi, idealOnly: true})
 			continue
@@ -310,7 +279,7 @@ func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]
 		for _, model := range models {
 			tasks = append(tasks, engine.Task{
 				Program: b.Program, Params: params, Label: model.String(),
-				Config: model.MachineConfig(base), Metrics: opts.Metrics,
+				Config: model.MachineConfig(base),
 			})
 			metas = append(metas, taskMeta{bench: bi, model: model})
 		}
@@ -329,9 +298,7 @@ func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]
 			Paper:   b.Paper,
 			Params:  params,
 			Results: make(map[Model]*machine.Result, len(models)),
-		}
-		if opts.Metrics {
-			outs[bi].Report = &metrics.RunReport{}
+			Report:  &metrics.RunReport{},
 		}
 	}
 	for i, r := range results {
@@ -341,9 +308,7 @@ func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]
 		if !meta.idealOnly {
 			o.Results[meta.model] = r.Result
 		}
-		if opts.Metrics {
-			o.Report.Add(r.Report)
-		}
+		o.Report.Add(r.Report)
 	}
 	if opts.OnReport != nil {
 		opts.OnReport(report)

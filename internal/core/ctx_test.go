@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,13 +28,11 @@ func TestNewOptionsFunctional(t *testing.T) {
 		WithSeed(7),
 		WithModels(ModelQueue, ModelWO),
 		WithOnly("Grav", "Pdsa"),
-		WithSelection(sel),
 		WithMachine(cfg),
 		WithProgress(func(string, ...any) { progressed = true }),
-		WithMetrics(),
 		WithWorkers(3),
 	)
-	if o.Scale != 0.25 || o.Seed != 7 || o.Workers != 3 || !o.Metrics {
+	if o.Scale != 0.25 || o.Seed != 7 || o.Workers != 3 {
 		t.Errorf("options = %+v", o)
 	}
 	if len(o.Models) != 2 || o.Models[0] != ModelQueue || o.Models[1] != ModelWO {
@@ -42,32 +41,17 @@ func TestNewOptionsFunctional(t *testing.T) {
 	if o.Machine == nil || o.Machine.BufDepth != 2 {
 		t.Error("WithMachine not applied")
 	}
-	if len(o.Only) != 2 {
-		t.Errorf("only = %v", o.Only)
-	}
-	if o.Select.All() {
-		t.Error("WithSelection not applied")
+	if got := o.Select.Names(); !slices.Equal(got, []string{"Grav", "Pdsa"}) {
+		t.Errorf("WithOnly selected %v", got)
 	}
 	o.Progress("x")
 	if !progressed {
 		t.Error("WithProgress not applied")
 	}
-}
-
-func TestRunSuiteCtxSelectionPrecedence(t *testing.T) {
-	// An explicit Selection wins over the deprecated Only names.
-	sel, err := suite.NewSelection("Topopt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := RunSuiteCtx(context.Background(), Options{
-		Scale: 0.01, Select: sel, Only: []string{"Grav"}, Models: []Model{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 || outs[0].Name != "Topopt" {
-		t.Fatalf("outcomes = %v", names(outs))
+	// The last selection wins, and a valid one replaces an invalid one.
+	o = NewOptions(WithOnly("Nope"), WithSelection(sel))
+	if got := o.Select.Names(); !slices.Equal(got, []string{"Qsort"}) || o.selectErr != nil {
+		t.Errorf("WithSelection after WithOnly: select %v, err %v", got, o.selectErr)
 	}
 }
 
@@ -105,15 +89,69 @@ func TestRunBenchmarkCtxMetricsReport(t *testing.T) {
 	}
 }
 
-func TestRunSuiteCtxNoMetricsByDefault(t *testing.T) {
-	outs, err := RunSuiteCtx(context.Background(), Options{
-		Scale: 0.01, Only: []string{"Topopt"}, Models: []Model{ModelQueue},
-	})
+// TestRunSuiteCtxReportsSumToSuite: every Outcome carries its benchmark's
+// report, whether or not a suite report was asked for, and the outcomes'
+// reports add up to the suite report the engine delivers.
+func TestRunSuiteCtxReportsSumToSuite(t *testing.T) {
+	opts := []Option{WithScale(0.01), WithSeed(2), WithOnly("Pdsa", "Topopt"), WithModels(ModelQueue, ModelWO)}
+	plain, err := RunSuiteCtx(context.Background(), NewOptions(opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Report != nil {
-		t.Error("Report attached without Options.Metrics")
+	for _, o := range plain {
+		if o.Report == nil || o.Report.Runs != 2 {
+			t.Errorf("%s: report %+v, want one run per model", o.Name, o.Report)
+		}
+	}
+
+	var rep metrics.SuiteReport
+	outs, err := RunSuiteCtx(context.Background(), NewOptions(append(opts,
+		WithReport(func(r metrics.SuiteReport) { rep = r }))...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got metrics.SuiteReport
+	runs := 0
+	for _, o := range outs {
+		got.Add(*o.Report)
+		runs += o.Report.Runs
+	}
+	// Add counts each outcome as one task, but each of its runs was one.
+	got.Tasks = runs
+	// Wall and Workers are the suite's own, not sums over tasks.
+	rep.Wall, rep.Workers = 0, 0
+	if rep.Tasks != 4 || got != rep {
+		t.Errorf("outcome reports sum to %+v, suite report %+v (want 4 tasks)", got, rep)
+	}
+}
+
+// TestRepeatedModelsRunOnce: a model listed twice is simulated once, so
+// each benchmark gets one task and one run per distinct model, in
+// first-seen order.
+func TestRepeatedModelsRunOnce(t *testing.T) {
+	o := NewOptions(WithModels(ModelWO, ModelQueue, ModelWO, ModelQueue))
+	if got := o.models(); !slices.Equal(got, []Model{ModelWO, ModelQueue}) {
+		t.Errorf("models() = %v, want [wo queue]", got)
+	}
+
+	b, err := suite.ByName("Qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.SuiteReport
+	out, err := RunBenchmarkCtx(context.Background(), b, NewOptions(
+		WithScale(0.01),
+		WithModels(ModelQueue, ModelQueue),
+		WithReport(func(r metrics.SuiteReport) { rep = r }),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || out.Results[ModelQueue] == nil {
+		t.Errorf("results = %v, want queue alone", out.Results)
+	}
+	if out.Report.Runs != 1 || rep.Tasks != 1 {
+		t.Errorf("outcome report runs = %d, suite tasks = %d; want 1 each", out.Report.Runs, rep.Tasks)
 	}
 }
 
@@ -171,9 +209,9 @@ func TestRunSuiteCtxCancelled(t *testing.T) {
 func TestWorkerCountDoesNotChangeOutcomes(t *testing.T) {
 	run := func(workers int) []*Outcome {
 		t.Helper()
-		outs, err := RunSuiteCtx(context.Background(), Options{
-			Scale: 0.02, Seed: 1, Only: []string{"Qsort", "Topopt"}, Workers: workers,
-		})
+		outs, err := RunSuiteCtx(context.Background(), NewOptions(
+			WithScale(0.02), WithSeed(1), WithOnly("Qsort", "Topopt"), WithWorkers(workers),
+		))
 		if err != nil {
 			t.Fatal(err)
 		}

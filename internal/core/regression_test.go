@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"syncsim/internal/workload/suite"
@@ -19,7 +20,7 @@ func TestPinnedMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, Options{Scale: 0.05, Seed: 1})
+	out, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +61,12 @@ func TestParallelModelsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := RunBenchmark(b, Options{Scale: 0.05, Seed: 3})
+	all, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []Model{ModelQueue, ModelTTS, ModelWO} {
-		solo, err := RunBenchmark(b, Options{Scale: 0.05, Seed: 3, Models: []Model{m}})
+		solo, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.05, Seed: 3, Models: []Model{m}})
 		if err != nil {
 			t.Fatal(err)
 		}

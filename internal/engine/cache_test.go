@@ -193,7 +193,12 @@ func TestCacheWaiterOwnCancellation(t *testing.T) {
 		_, _, _, err := c.Get(waiterCtx, p, params, nil)
 		waiterErr <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	key := KeyFor(p, params)
+	for deadline := time.Now().Add(5 * time.Second); c.fills.Waiters(key) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never joined the fill")
+		}
+	}
 
 	cancelWaiter()
 	cancelFiller()

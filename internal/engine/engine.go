@@ -1,5 +1,5 @@
 // Package engine is the concurrent experiment scheduler underneath
-// core.RunSuite: it executes a matrix of (workload × machine-config)
+// core.RunSuiteCtx: it executes a matrix of (workload × machine-config)
 // simulation tasks on a bounded worker pool, memoises trace generation in
 // a content-addressed TraceCache so identical traces are generated exactly
 // once per sweep, and sums each task's per-phase metrics (generate /
@@ -42,8 +42,6 @@ type Task struct {
 	// IdealOnly skips simulation: the task only generates the trace and
 	// computes ideal statistics (the paper's Tables 1-2 need no machine).
 	IdealOnly bool
-	// Metrics enables the per-task RunReport in the result.
-	Metrics bool
 }
 
 // TaskResult is one task's output.
@@ -53,7 +51,7 @@ type TaskResult struct {
 	Ideal trace.Summary
 	// Result is the simulation outcome; nil for IdealOnly tasks.
 	Result *machine.Result
-	// Report is the per-run phase breakdown; zero unless Task.Metrics.
+	// Report is the per-run phase breakdown.
 	Report metrics.RunReport
 }
 
@@ -172,9 +170,6 @@ feeding:
 	report := metrics.SuiteReport{Workers: workers}
 	for i := range results {
 		report.Add(results[i].Report)
-		if !tasks[i].Metrics {
-			results[i].Report = metrics.RunReport{}
-		}
 	}
 	report.Wall = time.Since(start)
 	if err := ctx.Err(); err != nil {
@@ -200,8 +195,8 @@ func (e *Engine) runTaskSafe(ctx context.Context, t *Task) (res TaskResult, err 
 }
 
 // runTask executes one task: trace lookup (generating on a cache miss),
-// then simulation unless the task is ideal-only. The result always carries
-// the task's report; Run drops it unless Task.Metrics.
+// then simulation unless the task is ideal-only. The result carries the
+// task's report.
 func (e *Engine) runTask(ctx context.Context, t *Task) (TaskResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TaskResult{}, err

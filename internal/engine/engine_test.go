@@ -73,7 +73,7 @@ func simTasks(prog workload.Program, labels ...string) []Task {
 			c.Memory.AccessTime = 3 + uint64(i) // distinct configs, same trace
 		}
 		tasks[i] = Task{Program: prog, Params: workload.Params{Scale: 1, Seed: 1},
-			Label: l, Config: c, Metrics: true}
+			Label: l, Config: c}
 	}
 	return tasks
 }
@@ -226,7 +226,7 @@ func TestGenerationErrorPropagates(t *testing.T) {
 func TestIdealOnlyTask(t *testing.T) {
 	p := &fakeProgram{name: "Fake", ncpu: 2, pairs: 30}
 	tasks := []Task{{Program: p, Params: workload.Params{Scale: 1}, Label: "ideal",
-		IdealOnly: true, Metrics: true}}
+		IdealOnly: true}}
 	results, rep, err := New(Config{}).Run(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)

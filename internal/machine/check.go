@@ -87,11 +87,11 @@ func (k *checker) afterTxn(t busTxn) error {
 	k.lastNow = m.now
 	for i, c := range m.cpus {
 		busy := c.busyUntil
-		if m.par != nil && m.par.leases[i].active {
+		if m.spec != nil && m.spec.leases[i].active {
 			// A leased processor's busyUntil is speculative: it can
 			// legitimately retreat on rollback. The committed high-water
 			// mark is the lease snapshot's.
-			busy = m.par.leases[i].snap.busyUntil
+			busy = m.spec.leases[i].snap.busyUntil
 		}
 		if busy < k.lastBusy[i] {
 			return invariantf("cpu %d busyUntil moved backwards: %d after %d",

@@ -72,7 +72,7 @@ const (
 	// ordered exactly as without speculation. The run-ahead runs inline,
 	// and a run starts no goroutine. Over a source that cannot rewind (no
 	// trace.Marker, such as a streamed ring) it steps every processor
-	// serially. See internal/machine/parallel.go and DESIGN §12 and §16.
+	// serially. See internal/machine/lease.go and DESIGN §12 and §16.
 	SchedCalendar SchedKind = iota
 	// SchedPolling is the original loop: every visited cycle steps every
 	// processor and rescans every component for the next event time. It

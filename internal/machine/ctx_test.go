@@ -35,17 +35,18 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// TestRunCtxCancelMidRun cancels from the run's first heartbeat, so the
+// cancellation always lands mid-run, and the same poll must observe it.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CancelEvery = 64 // tight polling so a small trace still observes it
 	ctx, cancel := context.WithCancel(context.Background())
+	ctx = WithHeartbeat(ctx, func(uint64) { cancel() })
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunCtx(ctx, pingPongSet(100_000), cfg)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {

@@ -105,10 +105,9 @@ type Machine struct {
 	// sched is the wakeup calendar; nil under SchedPolling, in which case
 	// every scheduler hook is a no-op and the original loop runs.
 	sched *scheduler
-	// par is the calendar's speculative executor (leases and journals);
-	// nil under SchedPolling or when a source cannot rewind. See
-	// parallel.go.
-	par       *parExec
+	// spec is the calendar's speculative executor (leases and journals);
+	// nil under SchedPolling or when a source cannot rewind. See lease.go.
+	spec      *speculator
 	iters     uint64 // visited simulation cycles
 	steps     uint64 // cpu step() invocations
 	leased    uint64 // steps run under a committed lease
@@ -176,7 +175,7 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		// rolled-back speculation). Without them every processor takes
 		// the calendar's lease-free serial step — results are identical
 		// by construction, only the execution strategy differs.
-		m.par = newParExec(m)
+		m.spec = newSpeculator(m)
 	}
 	return m, nil
 }
@@ -395,7 +394,7 @@ func (m *Machine) runPolling(ctx context.Context) error {
 }
 
 // runCalendar is the main loop of the calendar scheduler: a
-// wakeup calendar with the lease discipline of parallel.go layered into
+// wakeup calendar with the lease discipline of lease.go layered into
 // phase B. Each visited cycle runs the same three phases as runPolling, but
 // phase B visits only CPUs that are dirty (perturbed at this cycle by a
 // completed transaction, snoop, lock grant or barrier release) or due (a
@@ -403,7 +402,7 @@ func (m *Machine) runPolling(ctx context.Context) error {
 // an O(P) rescan. A processor with nothing global pending runs ahead under
 // a lease and is visited again only where it needs the bus; without an
 // executor (a source that cannot rewind) every visit is a plain serial
-// step. See sched.go for why the calendar is cycle-exact and parallel.go for
+// step. See sched.go for why the calendar is cycle-exact and lease.go for
 // why the leases are.
 func (m *Machine) runCalendar(ctx context.Context) error {
 	s := m.sched

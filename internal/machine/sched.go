@@ -3,7 +3,7 @@ package machine
 import "math/bits"
 
 // This file implements the wakeup calendar behind the machine's default run
-// loop, runCalendar (which also runs the lease discipline of parallel.go).
+// loop, runCalendar (which also runs the lease discipline of lease.go).
 // Instead of stepping every processor on every visited cycle and
 // re-deriving the next event with a full component scan (the original
 // polling loop, kept as SchedPolling for differential testing), the

@@ -222,7 +222,7 @@ func TestSchedulerEquivalenceManyCPUs(t *testing.T) {
 			if _, set := m.holders.lookup(0); len(set) != (ncpu+63)/64 {
 				t.Fatalf("holder index for %d CPUs not built with %d-word slots", ncpu, (ncpu+63)/64)
 			}
-			if sched == SchedCalendar && m.par == nil {
+			if sched == SchedCalendar && m.spec == nil {
 				t.Fatalf("speculative executor not built for %d CPUs with rewindable sources", ncpu)
 			}
 			res, err := m.Run()

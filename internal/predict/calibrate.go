@@ -10,6 +10,7 @@ import (
 	"syncsim/internal/engine"
 	"syncsim/internal/machine"
 	"syncsim/internal/trace"
+	"syncsim/internal/workload/suite"
 )
 
 // GridPoint is one full-simulation observation: a benchmark run under one
@@ -324,6 +325,10 @@ func CalibrateGrid(ctx context.Context, opts CalibrateOptions) (*Model, []GridPo
 // RunGrid runs full simulations over the (scale × seed) grid and returns
 // one GridPoint per benchmark × model × scale × seed.
 func RunGrid(ctx context.Context, scales []float64, seeds []int64, opts CalibrateOptions) ([]GridPoint, error) {
+	sel, err := suite.NewSelection(opts.Only...)
+	if err != nil {
+		return nil, fmt.Errorf("predict: %w", err)
+	}
 	var points []GridPoint
 	for _, scale := range scales {
 		for _, seed := range seeds {
@@ -334,7 +339,7 @@ func RunGrid(ctx context.Context, scales []float64, seeds []int64, opts Calibrat
 				Scale:   scale,
 				Seed:    seed,
 				Models:  opts.Models,
-				Only:    opts.Only,
+				Select:  sel,
 				Workers: opts.Workers,
 				Cache:   opts.Cache,
 			})

@@ -118,7 +118,6 @@ func (j simJob) task() engine.Task {
 		Params:  j.params,
 		Label:   j.req.Lock + "/" + j.req.Cons,
 		Config:  j.cfg,
-		Metrics: true,
 	}
 }
 

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 // outcomes runs a tiny two-benchmark suite once for all table tests.
 func outcomes(t *testing.T) []*core.Outcome {
 	t.Helper()
-	outs, err := core.RunSuite(core.Options{
-		Scale: 0.02,
-		Seed:  1,
-		Only:  []string{"Pdsa", "Qsort"},
-	})
+	outs, err := core.RunSuiteCtx(context.Background(), core.NewOptions(
+		core.WithScale(0.02),
+		core.WithSeed(1),
+		core.WithOnly("Pdsa", "Qsort"),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,9 @@ func TestAllTablesRender(t *testing.T) {
 }
 
 func TestTable2MarksLockFreePrograms(t *testing.T) {
-	outs, err := core.RunSuite(core.Options{
-		Scale:  0.01,
-		Only:   []string{"Topopt"},
-		Models: []core.Model{},
-	})
+	opts := core.NewOptions(core.WithScale(0.01), core.WithOnly("Topopt"))
+	opts.Models = []core.Model{} // ideal statistics only
+	outs, err := core.RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +63,11 @@ func TestTable2MarksLockFreePrograms(t *testing.T) {
 }
 
 func TestContentionTablesSkipLockFree(t *testing.T) {
-	outs, err := core.RunSuite(core.Options{
-		Scale:  0.01,
-		Only:   []string{"Topopt"},
-		Models: []core.Model{core.ModelQueue},
-	})
+	outs, err := core.RunSuiteCtx(context.Background(), core.NewOptions(
+		core.WithScale(0.01),
+		core.WithOnly("Topopt"),
+		core.WithModels(core.ModelQueue),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}

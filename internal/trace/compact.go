@@ -60,9 +60,13 @@ func (c *Compact) Bytes() int { return len(c.buf) }
 // neither the append slack nor the generator that owned c.
 func (c *Compact) Trim() *Compact {
 	t := *c
-	t.buf = append([]byte(nil), c.buf...)
+	t.buf = make([]byte, len(c.buf))
+	copy(t.buf, c.buf)
 	return &t
 }
+
+// Reset empties c for reuse, keeping its buffer's capacity.
+func (c *Compact) Reset() { *c = Compact{buf: c.buf[:0]} }
 
 // Add appends an event. It panics on invalid event kinds; generators are
 // trusted code.

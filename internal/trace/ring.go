@@ -18,8 +18,9 @@ var ErrStreamAborted = errors.New("trace: stream aborted by consumer")
 // stays O(budget) instead of O(trace).
 //
 // The producer queues events in the resident trace format: each chunk is
-// a Compact of one CPU's consecutive events, handed over whole. The budget
-// counts events, not chunks.
+// an exact-size copy of a Compact of one CPU's consecutive events, so the
+// ring holds the encoded bytes and no append slack. The budget counts
+// events, not chunks.
 //
 // Backpressure: once the total number of buffered events reaches the
 // budget, AddChunk blocks the producer — unless a consumer is currently
@@ -39,7 +40,7 @@ var ErrStreamAborted = errors.New("trace: stream aborted by consumer")
 // or Len. A streamed trace cannot be rewound or cloned, so the machine
 // detects the missing Marker and its calendar steps every processor
 // serially, without speculative leases (pinned by
-// TestParallelStreamingFallback). Streamed runs never go through the
+// TestLeaseStreamingFallback). Streamed runs never go through the
 // engine or its trace cache.
 type RingSet struct {
 	name   string
@@ -92,15 +93,16 @@ func (r *RingSet) Set() *Set {
 	return set
 }
 
-// AddChunk queues c, the next of cpu's events, and takes ownership of it:
-// the caller must not append to c afterwards. It blocks while the ring is
-// over budget and no consumer is starved, and panics with ErrStreamAborted
-// after Abort; the streaming driver recovers that sentinel at the top of
-// the producer goroutine.
+// AddChunk queues an exact-size copy of c, the next of cpu's events; the
+// caller keeps c and may Reset it to record the next chunk in the same
+// buffer. It blocks while the ring is over budget and no consumer is
+// starved, and panics with ErrStreamAborted after Abort; the streaming
+// driver recovers that sentinel at the top of the producer goroutine.
 func (r *RingSet) AddChunk(cpu int, c *Compact) {
 	if c.Len() == 0 {
 		return
 	}
+	c = c.Trim()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.buffered >= r.budget && !r.starvedEmptyLocked() && !r.aborted {

@@ -13,6 +13,43 @@ func addEvent(r *RingSet, cpu int, ev Event) {
 	r.AddChunk(cpu, compactOf([]Event{ev}))
 }
 
+// TestRingQueuesExactSizeChunks: the ring queues a copy of each chunk at
+// its encoded size, so the producer's append slack never sits in the
+// queue, and the producer keeps its own Compact to record into.
+func TestRingQueuesExactSizeChunks(t *testing.T) {
+	evs := compactEvents(rand.New(rand.NewSource(7)), 300)
+	var c Compact
+	for _, ev := range evs[:200] {
+		c.Add(ev)
+	}
+	if cap(c.buf) == len(c.buf) {
+		t.Fatal("the chunk has no append slack to drop; pick another length")
+	}
+	r := NewRingSet("exact", 1, 1024)
+	r.AddChunk(0, &c)
+	for _, ev := range evs[200:] {
+		c.Add(ev) // the caller's buffer is its own again
+	}
+
+	q := r.queues[0].chunks
+	if len(q) != 1 || q[0] == &c {
+		t.Fatalf("queued %d chunks, want one copy of the caller's", len(q))
+	}
+	if got := q[0]; got.Len() != 200 || cap(got.buf) != len(got.buf) {
+		t.Errorf("queued chunk: %d events in %d bytes of %d capacity, want 200 events and no slack",
+			got.Len(), len(got.buf), cap(got.buf))
+	}
+	r.Close(nil)
+	var got []Event
+	src := r.Set().Sources[0]
+	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+		got = append(got, ev)
+	}
+	if !reflect.DeepEqual(got, evs[:200]) {
+		t.Errorf("replayed %d events, want the 200 queued before the caller recorded more", len(got))
+	}
+}
+
 func TestRingSetStreamsInOrder(t *testing.T) {
 	const ncpu, perCPU = 3, 500
 	r := NewRingSet("prog", ncpu, 64)

@@ -120,9 +120,9 @@ type Mark struct {
 }
 
 // Marker is implemented by sources whose cursor can be saved and restored
-// mid-stream (Buffer, CompactSource). The machine's speculative parallel
-// scheduler uses it to rewind a processor's trace to the start of a
-// run-ahead window when the speculation must be replayed.
+// mid-stream (Buffer, CompactSource). The calendar's leases use it to
+// rewind a processor's trace to the start of a run-ahead window when the
+// speculation must be replayed.
 type Marker interface {
 	// Mark captures the current cursor position.
 	Mark() Mark

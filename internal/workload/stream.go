@@ -72,7 +72,7 @@ func (h *StreamHandle) MaxBuffered() int { return h.ring.MaxBuffered() }
 // instead of O(trace). The event sequences are bit-identical to Generate's.
 //
 // The returned set's sources implement only trace.Source — no replay, no
-// cloning, no parallel scheduling, no caching. Run the machine over the set
+// cloning, no speculative leases, no caching. Run the machine over the set
 // once, then call Wait (or Abort on failure) on the handle.
 func StreamTraces(prog Program, p Params, budget int) (*trace.Set, *StreamHandle, error) {
 	p = p.WithDefaults(prog.DefaultNCPU())

@@ -124,7 +124,7 @@ func TestStreamAbort(t *testing.T) {
 }
 
 // The streaming set must stay capability-free: no caching, no cloning, no
-// parallel scheduling ever sees a half-consumed stream.
+// speculative lease ever sees a half-consumed stream.
 func TestStreamSetHasNoReplayCapabilities(t *testing.T) {
 	set, h, err := workload.StreamTraces(qsort.New(), workload.Params{NCPU: 2, Scale: 0.01}, 0)
 	if err != nil {

@@ -195,12 +195,11 @@ func (g *Gen) handOff() {
 }
 
 // flush hands the recorded events to the ring as one chunk, which the ring
-// then owns, and starts a fresh Compact for the next one.
+// copies at its exact size, and records the next chunk in the same buffer.
 func (g *Gen) flush() {
-	c := g.tr
-	g.tr = trace.Compact{}
-	g.handed += c.Len()
-	g.ring.AddChunk(g.CPU, &c)
+	g.handed += g.tr.Len()
+	g.ring.AddChunk(g.CPU, &g.tr)
+	g.tr.Reset()
 }
 
 // Events returns the number of events emitted so far.

@@ -5,11 +5,11 @@
 //
 // The package is the public face of the library. It re-exports:
 //
-//   - the trace model and codecs (Event, Source, Set, AnalyzeIdeal);
-//   - the cycle-level machine simulator (MachineConfig, Run, Result) with
-//     its Illinois-protocol caches, split-transaction bus, buffered
-//     memory, queuing-lock and test&test&set protocols, and sequential /
-//     weakly ordered consistency models;
+//   - the trace model (Event, Source, TraceSet, AnalyzeIdeal);
+//   - the cycle-level machine simulator (MachineConfig, SimulateCtx,
+//     MachineResult) with its Illinois-protocol caches, split-transaction
+//     bus, buffered memory, queuing-lock and test&test&set protocols, and
+//     sequential / weakly ordered consistency models;
 //   - the six benchmark workload generators calibrated to the paper's
 //     Tables 1-2 (Grav, Pdsa, FullConn, Pverify, Qsort, Topopt);
 //   - the experiment driver and table renderers that regenerate the
@@ -24,8 +24,7 @@
 // Suite runs execute on a concurrent experiment engine: the (benchmark ×
 // model) matrix is scheduled over a bounded worker pool, generated traces
 // are memoised so every model replays the same trace, and runs are
-// cancellable through the context. The struct-based RunSuite/RunBenchmark
-// entry points remain as deprecated wrappers.
+// cancellable through the context. Every Outcome carries its RunReport.
 package syncsim
 
 import (
@@ -135,11 +134,6 @@ const (
 // 4-entry cache-bus buffers, split-transaction bus, 3-cycle memory.
 func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
 
-// Simulate runs a trace set on a machine and returns its statistics.
-func Simulate(set *TraceSet, cfg MachineConfig) (*MachineResult, error) {
-	return machine.Run(set, cfg)
-}
-
 // ErrLockMisuse is wrapped into the error a simulation returns when a
 // processor's trace releases a lock it does not hold or acquires one it
 // already holds; test with errors.Is.
@@ -210,8 +204,6 @@ var (
 	WithMachine = core.WithMachine
 	// WithProgress sets the per-step progress callback.
 	WithProgress = core.WithProgress
-	// WithMetrics attaches a RunReport to every Outcome.
-	WithMetrics = core.WithMetrics
 	// WithReport delivers the suite-level SuiteReport after the run.
 	WithReport = core.WithReport
 	// WithWorkers bounds how many simulations run concurrently.
@@ -246,18 +238,6 @@ func RunSuiteCtx(ctx context.Context, opts ...Option) ([]*Outcome, error) {
 // concurrently and cancellably.
 func RunBenchmarkCtx(ctx context.Context, b Benchmark, opts ...Option) (*Outcome, error) {
 	return core.RunBenchmarkCtx(ctx, b, core.NewOptions(opts...))
-}
-
-// RunSuite runs the benchmark suite under the selected models.
-//
-// Deprecated: use RunSuiteCtx with functional options.
-func RunSuite(opts Options) ([]*Outcome, error) { return core.RunSuite(opts) }
-
-// RunBenchmark runs a single benchmark under the selected models.
-//
-// Deprecated: use RunBenchmarkCtx with functional options.
-func RunBenchmark(b Benchmark, opts Options) (*Outcome, error) {
-	return core.RunBenchmark(b, opts)
 }
 
 // Table renderers (the paper's Tables 1-8 plus the §3.2 decomposition).

@@ -39,7 +39,7 @@ func TestFacadeCustomTraceSimulation(t *testing.T) {
 
 	set = BufferTraceSet("api", cpus)
 	cfg := DefaultMachineConfig()
-	res, err := Simulate(set, cfg)
+	res, err := SimulateCtx(context.Background(), set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +61,12 @@ func TestFacadeConstantsDistinct(t *testing.T) {
 }
 
 func TestFacadeRunSuiteAndTables(t *testing.T) {
-	outs, err := RunSuite(Options{
-		Scale:  0.02,
-		Seed:   1,
-		Only:   []string{"FullConn"},
-		Models: []Model{ModelQueue, ModelTTS, ModelWO},
-	})
+	outs, err := RunSuiteCtx(context.Background(),
+		WithScale(0.02),
+		WithSeed(1),
+		WithOnly("FullConn"),
+		WithModels(ModelQueue, ModelTTS, ModelWO),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestFacadeRunBenchmarkCtx(t *testing.T) {
 	if out.Results[ModelQueue].RunTime == 0 {
 		t.Error("zero run-time")
 	}
-	if out.Report != nil {
-		t.Error("report attached without WithMetrics")
+	if out.Report == nil || out.Report.Runs != 1 {
+		t.Errorf("outcome report = %+v, want one run", out.Report)
 	}
 }
 
@@ -165,12 +165,12 @@ func TestFacadeSimulateCtx(t *testing.T) {
 	}
 }
 
-// Simulate returns an error, not a panic, on a trace whose processor
+// SimulateCtx returns an error, not a panic, on a trace whose processor
 // releases a lock it never took.
 func TestFacadeSimulateLockMisuse(t *testing.T) {
 	set := BufferTraceSet("unlock", [][]Event{{Unlock(1, 0x40)}})
-	if _, err := Simulate(set, DefaultMachineConfig()); !errors.Is(err, ErrLockMisuse) {
-		t.Errorf("Simulate err = %v, want ErrLockMisuse", err)
+	if _, err := SimulateCtx(context.Background(), set, DefaultMachineConfig()); !errors.Is(err, ErrLockMisuse) {
+		t.Errorf("SimulateCtx err = %v, want ErrLockMisuse", err)
 	}
 }
 
